@@ -37,8 +37,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AccuracyWarning, HypothesisViolationError, SingularGramianError
-from .linear_flow import _expm, _step_kernels
-from .model import SpectralModel
+from .linear_flow import _step_kernels
+from .model import SpectralModel, _expm
 from .streams import substream
 
 __all__ = [

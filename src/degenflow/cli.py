@@ -6,7 +6,9 @@
 
 The output directory resolves as --outdir > $DEGENFLOW_OUTDIR > the config's
 output.dir.  Exit codes: 0 success, 2 invalid config, 3 hypothesis violation
-(the message names the (H*) label), 1 other failure.
+(the message names the (H*) label), 4 any other toolkit error (a solver that
+does not converge or contract, a non-invertible transform, a path leaving a
+field's box; one line on stderr names the error), 1 other failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config, validate_config
-from .errors import ConfigError, HypothesisViolationError
+from .errors import ConfigError, DegenflowError, HypothesisViolationError
 
 
 def _resolve_outdir(args, cfg) -> Path:
@@ -119,6 +121,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DegenflowError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CapabilityError
-from .model import SpectralModel
+from .model import SpectralModel, _expm
 from .streams import stream_name, substream
 
 __all__ = [
@@ -44,17 +44,6 @@ __all__ = [
     "hs_noise_integral",
     "psd_sqrt",
 ]
-
-
-def _expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential with an elementwise fast path for diagonal input."""
-    M = np.asarray(M, dtype=float)
-    if M.shape == (1, 1):
-        return np.array([[math.exp(M[0, 0])]])
-    off = M - np.diag(np.diag(M))
-    if not np.any(off):
-        return np.diag(np.exp(np.diag(M)))
-    return expm(M)
 
 
 def psd_sqrt(S: np.ndarray, floor: float = -1e-8) -> np.ndarray:

@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import expm
 from scipy.special import zeta
 
 from .errors import CapabilityError, HypothesisViolationError, InvalidModulusError
@@ -422,8 +423,10 @@ def _min_sv(mat: np.ndarray) -> float:
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
-    from scipy.linalg import expm
+    """Matrix exponential with an elementwise fast path for diagonal input."""
     M = np.asarray(M, dtype=float)
+    if M.shape == (1, 1):
+        return np.array([[math.exp(M[0, 0])]])
     off = M - np.diag(np.diag(M))
     if not np.any(off):
         return np.diag(np.exp(np.diag(M)))

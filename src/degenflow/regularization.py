@@ -22,6 +22,19 @@ Gauss-Legendre rule in the variable xi = e^{-lam(t-s)}, which integrates
 constants exactly and concentrates nodes where the discount has mass; the
 expectations are Gauss-Hermite rules under the exact step laws.
 
+Every expectation lands on the same clamped points in every sweep, so each
+is a fixed sparse matrix on grid functions: the multilinear weights of its
+Gauss-Hermite points (one kernel, ``_multilinear_coo``, which also serves
+FieldGrid queries), scaled by the Gauss-Hermite weights.  The panel rule
+blends the integrand linearly between nodes s_i and s_{i+1}, so with panel
+nodes u_q, weights w_q and theta_q = u_q / h it folds into two operators,
+
+    L0 = sum_q w_q (1 - theta_q) S_q,    L1 = sum_q w_q theta_q S_q,
+
+and the third is the discounted step e^{-lam h} S_h.  One application costs
+L0 g_i + L1 g_{i+1} for all nodes in one product, then the backward
+recursion w_i = local_i + e^{-lam h} S_h w_{i+1}.
+
 The state transform is Theta_s(x, y) = (x, y + u_s(x, y)); it is invertible
 whenever sup ||grad^(2) u|| < 1, with the inverse computed by fixed-point
 iteration in y.
@@ -35,11 +48,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+from scipy import sparse
 
 from .errors import (BoundaryExtrapolationWarning, CapabilityError, IterationError,
                      LambdaTooSmallError, NotInvertibleError)
-from .linear_flow import _expm, _gauss_hermite_nodes, _van_loan, psd_sqrt, transition_law
+from .linear_flow import _gauss_hermite_nodes, _van_loan, psd_sqrt
 from .model import DriftSpec, Modulus, SpectralModel
 from .streams import substream
 
@@ -109,31 +122,59 @@ class GridSpec:
 
 
 def _grid_jacobian_y(values: np.ndarray, axes, m: int, d: int) -> np.ndarray:
-    """Per-node y-Jacobian J[..., a, j] = d values_a / d y_j by differences."""
-    cols = []
-    for j in range(d):
-        cols.append(np.gradient(values, axes[m + j], axis=m + j))
+    """y-Jacobians J[..., a, j] = d values_a / d y_j at every node by differences.
+
+    values has shape (..., *shape, d); leading axes (such as time) are kept.
+    """
+    first = values.ndim - 1 - len(axes)
+    cols = [np.gradient(values, axes[m + j], axis=first + m + j) for j in range(d)]
     return np.stack(cols, axis=-1)
+
+
+def _multilinear_coo(axes, pts: np.ndarray):
+    """Multilinear interpolation on a tensor grid as corner indices and weights.
+
+    pts (n, dim) are clamped to the box.  Returns the flat C-order indices of
+    the 2^dim cell corners and their weights, both (n, 2^dim): the interpolant
+    of a grid function V of shape (prod(shape), ...) is sum_c w[:, c] V[idx[:, c]].
+    """
+    dim = len(axes)
+    corner_bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    idx = np.zeros((pts.shape[0], 1 << dim), dtype=np.int64)
+    wts = np.ones((pts.shape[0], 1 << dim))
+    stride = math.prod(len(a) for a in axes)
+    for j, ax in enumerate(axes):
+        stride //= len(ax)
+        # searching the interior nodes puts points outside the box in the end
+        # cells, and clipping the fraction clamps them to the box
+        i = np.searchsorted(ax[1:-1], pts[:, j], side="right")
+        frac = np.clip((pts[:, j] - ax[i]) / (ax[i + 1] - ax[i]), 0.0, 1.0)[:, None]
+        bit = corner_bits[:, j]
+        idx += (i[:, None] + bit) * stride
+        wts *= np.where(bit, frac, 1.0 - frac)
+    return idx, wts
 
 
 class FieldGrid:
     """Time-indexed vector field on a box, with multilinear interpolation.
 
-    values has shape (n_time, *shape, d); queries are clamped to the box
-    (constant extension), matching the use of cutoff drifts outside it.
+    values has shape (n_time, *shape, d) and is a read-only copy; queries are
+    clamped to the box (constant extension), matching the use of cutoff
+    drifts outside it.  Interpolation is multilinear in (time, space).
     """
 
     def __init__(self, times: np.ndarray, axes, values: np.ndarray, m: int, d: int,
                  bound: Optional[float] = None):
         self.times = np.asarray(times, dtype=float)
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.array(values, dtype=float)
+        self.values.flags.writeable = False
         self.m = m
         self.d = d
         self.bound = bound
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-        self._interps = {}
+        self._sup_grad2 = None
 
     @property
     def dim(self) -> int:
@@ -150,50 +191,21 @@ class FieldGrid:
     def spacing(self) -> np.ndarray:
         return np.array([a[1] - a[0] for a in self.axes])
 
-    def _node_interp(self, i: int) -> RegularGridInterpolator:
-        if i not in self._interps:
-            self._interps[i] = RegularGridInterpolator(
-                self.axes, self.values[i], method="linear",
-                bounds_error=False, fill_value=None)
-        return self._interps[i]
-
-    def clamp(self, pts: np.ndarray) -> np.ndarray:
-        return np.clip(pts, self.lo, self.hi)
-
-    def _bracket(self, s: float):
-        ts = self.times
-        s = min(max(float(s), ts[0]), ts[-1])
-        i = int(np.searchsorted(ts, s, side="right") - 1)
-        i = min(max(i, 0), ts.size - 2)
-        w = (s - ts[i]) / (ts[i + 1] - ts[i])
-        return i, w
+    def _gather(self, times_q: np.ndarray, pts) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        idx, wts = _multilinear_coo((self.times,) + self.axes,
+                                    np.concatenate([times_q.reshape(-1, 1), pts], axis=1))
+        return np.einsum("nc,ncd->nd", wts, self.values.reshape(-1, self.d)[idx])
 
     def interp(self, s: float, pts) -> np.ndarray:
-        """Field value at time s and points pts (..., dim); linear in time,
-        multilinear in space, clamped to the box."""
-        pts = self.clamp(np.atleast_2d(np.asarray(pts, dtype=float)))
-        i, w = self._bracket(s)
-        v0 = self._node_interp(i)(pts)
-        if w == 0.0:
-            return v0
-        v1 = self._node_interp(i + 1)(pts)
-        return (1.0 - w) * v0 + w * v1
+        """Field value at time s and points pts (n, dim) -> (n, d); linear in
+        time, multilinear in space, clamped to the box."""
+        n = np.atleast_2d(pts).shape[0]
+        return self._gather(np.full(n, float(s)), pts)
 
     def interp_many(self, times_q, pts) -> np.ndarray:
         """Vectorized interp at per-query times: (n,), (n, dim) -> (n, d)."""
-        times_q = np.asarray(times_q, dtype=float).reshape(-1)
-        pts = self.clamp(np.atleast_2d(np.asarray(pts, dtype=float)))
-        ts = self.times
-        sq = np.clip(times_q, ts[0], ts[-1])
-        idx = np.clip(np.searchsorted(ts, sq, side="right") - 1, 0, ts.size - 2)
-        w = (sq - ts[idx]) / (ts[idx + 1] - ts[idx])
-        out = np.empty((times_q.size, self.d))
-        for i in np.unique(idx):
-            mask = idx == i
-            v0 = self._node_interp(int(i))(pts[mask])
-            v1 = self._node_interp(int(i) + 1)(pts[mask])
-            out[mask] = (1.0 - w[mask, None]) * v0 + w[mask, None] * v1
-        return out
+        return self._gather(np.asarray(times_q, dtype=float), pts)
 
     def jacobian_y_many(self, times_q, pts) -> np.ndarray:
         """Vectorized y-Jacobians at grid resolution: (n, d, d).
@@ -201,7 +213,7 @@ class FieldGrid:
         Stencils clipped at the box collapse to one-sided silently (batch
         mode); use field_grad2 for the warning-carrying pointwise variant.
         """
-        pts = self.clamp(np.atleast_2d(np.asarray(pts, dtype=float)))
+        pts = np.clip(np.atleast_2d(np.asarray(pts, dtype=float)), self.lo, self.hi)
         n = pts.shape[0]
         h = self.spacing()
         J = np.empty((n, self.d, self.d))
@@ -221,12 +233,16 @@ class FieldGrid:
 
     def jacobian_y_nodes(self) -> np.ndarray:
         """(n_time, *shape, d, d) y-Jacobians at every node by differences."""
-        return np.stack([_grid_jacobian_y(self.values[i], self.axes, self.m, self.d)
-                         for i in range(self.times.size)])
+        return _grid_jacobian_y(self.values, self.axes, self.m, self.d)
 
     def sup_grad2(self) -> float:
-        jac = self.jacobian_y_nodes()
-        return float(np.max(np.linalg.norm(jac, ord=2, axis=(-2, -1)), initial=0.0))
+        """sup over nodes of the spectral norm of the y-Jacobian (cached)."""
+        if self._sup_grad2 is None:
+            jac = self.jacobian_y_nodes()
+            norms = (np.abs(jac[..., 0, 0]) if self.d == 1
+                     else np.linalg.norm(jac, ord=2, axis=(-2, -1)))
+            self._sup_grad2 = float(np.max(norms, initial=0.0))
+        return self._sup_grad2
 
 
 class FunctionField:
@@ -434,54 +450,15 @@ class PicardReport:
         return self.sup_u + self.sup_grad2
 
 
-class _Stencil:
-    """Precompiled multilinear interpolation at a fixed point set.
-
-    Grid-function evaluations inside the Picard sweep always hit the same
-    (clamped) points, so corner indices and weights are computed once; each
-    application is then a fancy-indexed gather and a weight contraction
-    folded with the Gauss-Hermite weights.
-    """
-
-    def __init__(self, axes, pts: np.ndarray, gh_wts: np.ndarray, n_base: int):
-        dim = len(axes)
-        n = pts.shape[0]
-        idx = np.empty((n, dim), dtype=np.int64)
-        frac = np.empty((n, dim))
-        strides = np.ones(dim, dtype=np.int64)
-        sizes = [len(a) for a in axes]
-        for j in range(dim - 2, -1, -1):
-            strides[j] = strides[j + 1] * sizes[j + 1]
-        for j, ax in enumerate(axes):
-            i = np.clip(np.searchsorted(ax, pts[:, j], side="right") - 1,
-                        0, len(ax) - 2)
-            idx[:, j] = i
-            frac[:, j] = (pts[:, j] - ax[i]) / (ax[i + 1] - ax[i])
-        n_corner = 1 << dim
-        flat = np.empty((n, n_corner), dtype=np.int64)
-        wts = np.ones((n, n_corner))
-        for c in range(n_corner):
-            off = np.zeros(n, dtype=np.int64)
-            w = np.ones(n)
-            for j in range(dim):
-                bit = (c >> j) & 1
-                off += (idx[:, j] + bit) * strides[j]
-                w *= frac[:, j] if bit else (1.0 - frac[:, j])
-            flat[:, c] = off
-            wts[:, c] = w
-        # fold Gauss-Hermite weights into the corner weights
-        n_gh = gh_wts.size
-        wts = wts.reshape(n_base, n_gh, n_corner) * gh_wts[None, :, None]
-        self.flat = flat.reshape(n_base, n_gh * n_corner)
-        self.wts = wts.reshape(n_base, n_gh * n_corner)
-
-    def expect(self, values_flat: np.ndarray) -> np.ndarray:
-        """(n_base, d) expectation of a grid function given as (n_grid, d)."""
-        return np.einsum("nc,ncd->nd", self.wts, values_flat[self.flat])
-
-
 class _PicardEngine:
-    """One Picard application on a tensor grid by backward Markov composition."""
+    """One Picard application on a tensor grid by backward Markov composition.
+
+    Every expectation in the sweep hits the same clamped Gauss-Hermite points,
+    so each is a fixed sparse operator on grid functions.  The local panel
+    rule blends the integrand linearly between time nodes, which folds its
+    n_local expectations into two operators, L0 (weights on node i) and L1
+    (weights on node i+1); the discounted one-step expectation is the third.
+    """
 
     def __init__(self, model: SpectralModel, lam: float, grid: GridSpec,
                  gh_order: int = 4, n_local: int = 6):
@@ -500,17 +477,14 @@ class _PicardEngine:
         self.delta = float(self.times[1] - self.times[0])
         if not np.allclose(np.diff(self.times), self.delta):
             raise ValueError("time nodes must be uniform")
-        self.lo = np.array(grid.lo)
-        self.hi = np.array(grid.hi)
 
         A = model.block_operator()
-        gh_pts, gh_wts = _gauss_hermite_nodes(model.dim, gh_order)
-        self.gh_wts = gh_wts
+        N = model.noise_matrix(0.0)
+        self.gh_pts, self.gh_wts = _gauss_hermite_nodes(model.dim, gh_order)
 
-        # one-step operator over a full panel
-        E1, G1 = _van_loan(A, model.noise_matrix(0.0), self.delta)
-        self.step_discount = math.exp(-self.lam * self.delta)
-        self.step_stencil = self._stencil(E1, G1, gh_pts)
+        # discounted one-step operator over a full panel
+        self.step = math.exp(-self.lam * self.delta) * self._expectation(
+            *_van_loan(A, N, self.delta))
 
         # local panel nodes via the xi = e^{-lam u} substitution
         gl_x, gl_w = np.polynomial.legendre.leggauss(n_local)
@@ -522,34 +496,39 @@ class _PicardEngine:
         else:
             us = 0.5 * self.delta * (gl_x + 1.0)
             wts = 0.5 * self.delta * gl_w * np.exp(-self.lam * us)
-        order = np.argsort(us)
-        self.local_u = us[order]
-        self.local_w = wts[order]
-        self.local_stencils = []
-        for u in self.local_u:
-            Eu, Gu = _van_loan(A, model.noise_matrix(0.0), float(u))
-            self.local_stencils.append(self._stencil(Eu, Gu, gh_pts))
+        # one operator at a time keeps the peak memory at one expectation
+        self.L0 = sparse.csr_matrix((self.n_pts, self.n_pts))
+        self.L1 = sparse.csr_matrix((self.n_pts, self.n_pts))
+        for u, wq in zip(us, wts):
+            S = self._expectation(*_van_loan(A, N, float(u)))
+            theta = u / self.delta
+            self.L0 = self.L0 + (wq * (1.0 - theta)) * S
+            self.L1 = self.L1 + (wq * theta) * S
 
-    def _stencil(self, E: np.ndarray, G: np.ndarray, gh_pts: np.ndarray) -> _Stencil:
-        F = psd_sqrt(G)
-        shifts = (math.sqrt(2.0) * gh_pts) @ F.T
-        base = self.mesh @ E.T
-        pts = base[:, None, :] + shifts[None, :, :]
-        pts = np.clip(pts.reshape(-1, self.model.dim), self.lo, self.hi)
-        return _Stencil(self.axes, pts, self.gh_wts, self.n_pts)
+    def _expectation(self, E: np.ndarray, G: np.ndarray) -> sparse.csr_matrix:
+        """Grid operator g -> (z -> mean of g(E z + xi), xi ~ N(0, G)), by Gauss-Hermite."""
+        shifts = (math.sqrt(2.0) * self.gh_pts) @ psd_sqrt(G).T
+        pts = (self.mesh @ E.T)[:, None, :] + shifts[None, :, :]
+        idx, wts = _multilinear_coo(self.axes, pts.reshape(-1, self.model.dim))
+        row_len = self.gh_wts.size * idx.shape[1]
+        wts = wts.reshape(self.n_pts, self.gh_wts.size, -1) * self.gh_wts[None, :, None]
+        S = sparse.csr_matrix(
+            (wts.ravel(), idx.ravel(), np.arange(0, self.n_pts * row_len + 1, row_len)),
+            shape=(self.n_pts, self.n_pts))
+        S.sum_duplicates()
+        return S
 
     def apply(self, g_flat: np.ndarray) -> np.ndarray:
         """Gamma applied to the integrand table g (n_time, n_pts, d)."""
-        M = self.times.size - 1
+        n_time, _, d = g_flat.shape
+        M = n_time - 1
+        # time nodes as columns: every panel's local term in one product
+        G = np.ascontiguousarray(g_flat.transpose(1, 0, 2)).reshape(self.n_pts, n_time * d)
+        local = (self.L0 @ G[:, : M * d] + self.L1 @ G[:, d:]).reshape(self.n_pts, M, d)
         out = np.zeros_like(g_flat)
-        w_next = np.zeros((self.n_pts, self.model.d))
+        w_next = out[M]
         for i in range(M - 1, -1, -1):
-            local = np.zeros((self.n_pts, self.model.d))
-            for u, wq, st in zip(self.local_u, self.local_w, self.local_stencils):
-                theta = u / self.delta
-                g_blend = (1.0 - theta) * g_flat[i] + theta * g_flat[i + 1]
-                local += wq * st.expect(g_blend)
-            w_next = local + self.step_discount * self.step_stencil.expect(w_next)
+            w_next = local[:, i] + self.step @ w_next
             out[i] = w_next
         return out
 
@@ -558,14 +537,11 @@ def _integrand_table(engine: _PicardEngine, model: SpectralModel, bvals: np.ndar
                      u_flat: np.ndarray) -> np.ndarray:
     """g = grad^(2)_b u + b on the grid, for every time node."""
     n_time = engine.times.size
-    g = np.empty_like(bvals)
-    for i in range(n_time):
-        ui = u_flat[i].reshape(*engine.shape, model.d)
-        jac = _grid_jacobian_y(ui, engine.axes, model.m, model.d)
-        bi = bvals[i].reshape(*engine.shape, model.d)
-        gi = np.einsum("...aj,...j->...a", jac, bi) + bi
-        g[i] = gi.reshape(engine.n_pts, model.d)
-    return g
+    u = u_flat.reshape(n_time, *engine.shape, model.d)
+    jac = _grid_jacobian_y(u, engine.axes, model.m, model.d)
+    bi = bvals.reshape(n_time, *engine.shape, model.d)
+    g = np.einsum("...aj,...j->...a", jac, bi) + bi
+    return g.reshape(n_time, engine.n_pts, model.d)
 
 
 def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,

@@ -37,8 +37,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import CoverageError, IterationError, NonOsgoodWarning
-from .linear_flow import PathBundle, _expm, _step_kernels
-from .model import DriftSpec, SpectralModel
+from .linear_flow import PathBundle, _step_kernels
+from .model import DriftSpec, SpectralModel, _expm
 from .regularization import FieldGrid
 from .streams import stream_name, substream
 
@@ -211,7 +211,10 @@ def _resolve_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
     else:
         seed = 0 if noise is None else int(noise)
         return make_noise(model, T, n_steps, n_paths, seed)
-    if rec.n_steps != n_steps or abs(float(rec.times[-1]) - T) > 1e-12:
+    # the step kernels are built on the uniform grid of [0, T]
+    if (rec.n_steps != n_steps or abs(float(rec.times[0])) > 1e-12
+            or abs(float(rec.times[-1]) - T) > 1e-12
+            or not np.allclose(np.diff(rec.times), T / n_steps, rtol=1e-9, atol=0.0)):
         raise ValueError("noise record grid does not match the requested grid")
     if n_paths in (1, rec.n_paths):
         return rec

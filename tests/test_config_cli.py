@@ -11,7 +11,8 @@ import yaml
 
 from degenflow.cli import main
 from degenflow.config import load_config, validate_config
-from degenflow.errors import ConfigError
+from degenflow import scenarios
+from degenflow.errors import ConfigError, CoverageError
 from degenflow.scenarios import ANCHORS, SCENARIOS
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -103,6 +104,21 @@ def test_run_wave_theta_low_exits_3_citing_h3(tmp_path):
                             "--outdir", str(tmp_path))
     assert code == 3
     assert "(H3)" in err
+
+
+def test_run_toolkit_error_exits_4_with_one_line(tmp_path, monkeypatch):
+    def leaves_box(cfg, outdir):
+        raise CoverageError("trajectory exits the field box at t=0.5")
+
+    info = SCENARIOS["gramian_sweep"]
+    monkeypatch.setitem(scenarios.SCENARIOS, "gramian_sweep",
+                        scenarios.ScenarioInfo(info.name, info.description,
+                                               info.anchor, leaves_box))
+    code, out, err = _run_cli("run", str(CONFIG_DIR / "gramian_sweep.yaml"),
+                              "--outdir", str(tmp_path))
+    assert code == 4
+    assert err == "error: CoverageError: trajectory exits the field box at t=0.5\n"
+    assert not (tmp_path / "summary.txt").exists()
 
 
 def test_rerun_reproduces_outputs_byte_for_byte(tmp_path):

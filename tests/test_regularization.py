@@ -155,6 +155,80 @@ def test_hnorm_sweep_slope_in_window(kinetic):
 
 
 # ---------------------------------------------------------------------------
+# Interpolation kernel against scipy's RegularGridInterpolator
+
+
+def _rgi_reference(field, times_q, pts):
+    """Clamp, multilinear in space per time node, linear in time."""
+    from scipy.interpolate import RegularGridInterpolator
+    pts = np.clip(pts, field.lo, field.hi)
+    ts = field.times
+    out = np.empty((pts.shape[0], field.d))
+    for n, (s, z) in enumerate(zip(times_q, pts)):
+        s = min(max(float(s), ts[0]), ts[-1])
+        i = min(max(int(np.searchsorted(ts, s, side="right")) - 1, 0), ts.size - 2)
+        w = (s - ts[i]) / (ts[i + 1] - ts[i])
+        v0, v1 = (RegularGridInterpolator(field.axes, field.values[k])(z[None])[0]
+                  for k in (i, i + 1))
+        out[n] = (1.0 - w) * v0 + w * v1
+    return out
+
+
+def test_interp_matches_regular_grid_interpolator():
+    rng = np.random.default_rng(11)
+    axes = (np.linspace(-2.0, 2.0, 6), np.linspace(-1.0, 3.0, 9))
+    times = np.linspace(0.0, 1.0, 5)
+    field = FieldGrid(times=times, axes=axes, m=1, d=2,
+                      values=rng.standard_normal((5, 6, 9, 2)))
+    # a third of the points and some times fall outside the box and are clamped
+    pts = rng.uniform(-3.0, 4.0, size=(60, 2))
+    times_q = rng.uniform(-0.2, 1.2, size=60)
+    times_q[:4] = times[:4]
+    np.testing.assert_allclose(field.interp_many(times_q, pts),
+                               _rgi_reference(field, times_q, pts), rtol=0, atol=1e-13)
+    for s in (0.0, 0.37, 1.0, 1.5):
+        np.testing.assert_allclose(field.interp(s, pts),
+                                   _rgi_reference(field, np.full(60, s), pts),
+                                   rtol=0, atol=1e-13)
+
+
+def test_picard_apply_matches_per_node_gauss_hermite(kinetic):
+    from scipy.interpolate import RegularGridInterpolator
+    from degenflow.linear_flow import _gauss_hermite_nodes, _van_loan, psd_sqrt
+    from degenflow.regularization import _PicardEngine
+    lam, n_local = 8.0, 6
+    grid = GridSpec(lo=(-2.0, -3.0), hi=(2.0, 3.0), shape=(5, 7), t_final=1.0, n_time=5)
+    engine = _PicardEngine(kinetic, lam, grid, gh_order=4, n_local=n_local)
+    g = np.random.default_rng(5).standard_normal((5, engine.n_pts, 1))
+    got = engine.apply(g)
+
+    A, N = kinetic.block_operator(), kinetic.noise_matrix(0.0)
+    gh_pts, gh_wts = _gauss_hermite_nodes(2, 4)
+    axes, mesh, h = grid.axes(), grid.mesh(), 0.25
+
+    x, w = np.polynomial.legendre.leggauss(n_local)
+    xi_lo = math.exp(-lam * h)
+    us = -np.log(0.5 * (1.0 - xi_lo) * (x + 1.0) + xi_lo) / lam
+    ws = 0.5 * (1.0 - xi_lo) * w / lam
+    laws = {u: _van_loan(A, N, u) for u in (*us, h)}
+
+    def expect(interp, u, z):
+        E, G = laws[u]
+        pts = np.clip(E @ z + math.sqrt(2.0) * gh_pts @ psd_sqrt(G).T, grid.lo, grid.hi)
+        return float(gh_wts @ interp(pts))
+
+    ref = np.zeros_like(g)
+    for i in range(3, -1, -1):
+        g0, g1, w1 = (RegularGridInterpolator(axes, v.reshape(5, 7))
+                      for v in (g[i], g[i + 1], ref[i + 1]))
+        for p, z in enumerate(mesh):
+            local = sum(wq * ((1.0 - u / h) * expect(g0, u, z) + u / h * expect(g1, u, z))
+                        for u, wq in zip(us, ws))
+            ref[i, p] = local + math.exp(-lam * h) * expect(w1, h, z)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Field gradients
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ def test_coarsen_noise_exact_for_linear_flow(kinetic):
                                     noise=cn)
         np.testing.assert_allclose(coarse.Z[:, -1, :], fine.Z[:, -1, :],
                                    atol=1e-13)
+
+
+def test_noise_record_on_another_grid_rejected(kinetic):
+    b = build_drift("zero", 1, 1)
+    late = make_noise(kinetic, 1.0, 16, 2, seed=3, s=0.5)
+    with pytest.raises(ValueError, match="grid"):
+        integrate_ensemble(kinetic, b, [0.1, 0.4], 1.0, 16, noise=late)
+    rec = make_noise(kinetic, 1.0, 16, 2, seed=3)
+    uneven = replace(rec, times=np.concatenate([[0.0], np.linspace(0.2, 1.0, 16)]))
+    with pytest.raises(ValueError, match="grid"):
+        integrate_ensemble(kinetic, b, [0.1, 0.4], 1.0, 16, noise=uneven)
 
 
 # ---------------------------------------------------------------------------
