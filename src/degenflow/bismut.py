@@ -24,6 +24,15 @@ and transporting the outer direction along the linear flow.
 The time derivative inside Phi is expanded analytically:
     d/dr{(r-s)(T-r) B* e^{(r-s)A0*}}
       = (T+s-2r) B* e^{(r-s)A0*} + (r-s)(T-r) B* A0* e^{(r-s)A0*}.
+
+The weight is discretized as the left-point Ito sum S = sum <h(r_i), dW_i>
+on a uniform grid.  Both Z_T = E^N z + sum E^{N-1-i} eta_i and S are linear
+in the same Gaussian increments, so (Z_T, S) is exactly jointly Gaussian.
+Its mean and covariance compose the exact step kernels (Van Loan's
+augmented exponential) in O(N) small-matrix operations, and the estimators
+draw each path's terminal state and weights from that law directly instead
+of stepping it through N kernels; time-dependent sigma keeps its left-point
+kernels, so the law is that of the stepped paths exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AccuracyWarning, HypothesisViolationError, SingularGramianError
-from .linear_flow import _step_kernels
+from .linear_flow import _step_kernels, psd_sqrt
 from .model import SpectralModel, _expm
 from .streams import substream
 
@@ -117,6 +126,16 @@ def gramian_Q(model: SpectralModel, t: float,
 # Perturbation controls
 
 
+def _right_inverse(sig: np.ndarray, r: float) -> np.ndarray:
+    """sigma* (sigma sigma*)^{-1}, shape (k, d); raises H1 where sigma sigma*
+    is singular."""
+    gram = sig @ sig.T
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[-1] < 1e-12 * max(1.0, sv[0]):
+        raise HypothesisViolationError("H1", f"sigma sigma* singular at r={r}")
+    return np.linalg.solve(gram, sig).T
+
+
 @dataclass(frozen=True)
 class ControlPair:
     """Steering vector V and control Phi for a window [s, T] and direction v."""
@@ -131,32 +150,27 @@ class ControlPair:
     def phi(self, r) -> np.ndarray:
         """Phi(r) in R^d; accepts scalar or 1-d array r, returns (..., d)."""
         rs = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty((rs.size, self.model.d))
         s, T = self.s, self.T
-        Bt = self.model.B.T
-        A0t = self.model.A0.T
-        for i, ri in enumerate(rs):
-            EA0t = _expm((ri - s) * A0t)
-            core = self.v2 / (T - s) + (
-                (T + s - 2.0 * ri) * Bt @ (EA0t @ self.V)
-                + (ri - s) * (T - ri) * Bt @ (A0t @ (EA0t @ self.V)))
-            out[i] = _expm((ri - s) * self.model.A2) @ core
-        return out[0] if np.isscalar(r) or np.asarray(r).ndim == 0 else out
+        model = self.model
+        u = (rs - s)[:, None, None]
+        EV = _expm(u * model.A0.T) @ self.V
+        core = self.v2 / (T - s) + (
+            (T + s - 2.0 * rs)[:, None] * EV
+            + ((rs - s) * (T - rs))[:, None] * (EV @ model.A0)) @ model.B
+        out = np.einsum("nij,nj->ni", _expm(u * model.A2), core)
+        return out[0] if np.ndim(r) == 0 else out
 
     def weight_vector(self, r) -> np.ndarray:
         """sigma_r* (sigma_r sigma_r*)^{-1} Phi(r) in R^k."""
         rs = np.atleast_1d(np.asarray(r, dtype=float))
-        phis = np.atleast_2d(self.phi(rs))
-        out = np.empty((rs.size, self.model.k))
-        for i, ri in enumerate(rs):
-            sig = self.model.sigma_at(ri)
-            gram = sig @ sig.T
-            sv = np.linalg.svd(gram, compute_uv=False)
-            if sv[-1] < 1e-12 * max(1.0, sv[0]):
-                raise HypothesisViolationError(
-                    "H1", f"sigma sigma* singular at r={ri}")
-            out[i] = sig.T @ np.linalg.solve(gram, phis[i])
-        return out[0] if np.isscalar(r) or np.asarray(r).ndim == 0 else out
+        phis = self.phi(rs)
+        model = self.model
+        if model.sigma_constant:
+            out = phis @ _right_inverse(model.sigma, rs[0]).T
+        else:
+            out = np.stack([_right_inverse(model.sigma_at(ri), ri) @ p
+                            for ri, p in zip(rs, phis)])
+        return out[0] if np.ndim(r) == 0 else out
 
     def coupled_difference(self, t: float):
         """Deterministic (per unit eps) coupled differences at time t.
@@ -231,14 +245,57 @@ def _weight_table(ctrl: ControlPair, times: np.ndarray) -> np.ndarray:
     return np.atleast_2d(ctrl.weight_vector(times[:-1]))
 
 
+def _joint_moments(model: SpectralModel, z, windows):
+    """Exact mean and covariance of (Z_T, S_1, ..., S_J).
+
+    windows is a sequence of (times, hvec) over consecutive uniform grids, hvec
+    (N_j, k) holding the left-point weights of S_j = sum_i <h_i, dW_i>.  The
+    moments propagate through the same step kernels that path stepping uses:
+    mean <- E mean, P <- E P E* + G, C <- E C, and column j of C gains
+    Cov(eta_i, dW_i) h_i = h K h_i.  Returns (mean, P, C = Cov(Z_T, S),
+    Var S); the S_j are uncorrelated, their increments being disjoint.
+    """
+    mean = np.asarray(z, dtype=float).reshape(model.dim)
+    P = np.zeros((model.dim, model.dim))
+    C = np.zeros((model.dim, len(windows)))
+    var = np.empty(len(windows))
+    for j, (times, hvec) in enumerate(windows):
+        kers = _step_kernels(model, times[0], times[-1], times.size - 1)
+        for ker, hi in zip(kers, hvec):
+            mean = ker.E @ mean
+            P = ker.E @ P @ ker.E.T + ker.G
+            C = ker.E @ C
+            C[:, j] += ker.h * (ker.Kmat @ hi)
+        var[j] = kers[0].h * float(np.sum(hvec ** 2))
+    return mean, P, C, var
+
+
+def _joint_draw(model: SpectralModel, z, windows, rng: np.random.Generator,
+                n_paths: int):
+    """Exact joint draw of (Z_T (n, dim), S (n, J)); see _joint_moments.
+
+    Z = mean + F zeta with F F* = P, and S given Z_T: S = A* zeta + L xi with
+    F A = Cov(Z_T, S) and L L* = diag(Var S) - A* A.  Every weight is linear
+    in the h_i, so scaling the direction by a power of two scales S exactly.
+    """
+    mean, P, C, var = _joint_moments(model, z, windows)
+    F = psd_sqrt(P)
+    A = np.linalg.solve(F, C)
+    L = psd_sqrt(np.diag(var) - A.T @ A)
+    zeta = rng.standard_normal((n_paths, model.dim))
+    xi = rng.standard_normal((n_paths, len(windows)))
+    return mean + zeta @ F.T, zeta @ A + xi @ L.T
+
+
 def bismut_gradient(model: SpectralModel, s: float, T: float, f: Callable, z, v,
                     n_paths: int, n_steps: int = 256, seed: int = 0,
                     stream: Sequence[str] = ("bismut", "gradient")) -> GradientEstimate:
     """Monte-Carlo estimate of (grad_v P^0_{s,T} f)(z).
 
-    Paths use exact per-step Gaussian transitions; the stochastic-integral
-    weight is the left-point Ito sum of <sigma*(sigma sigma*)^{-1} Phi(r), dW>
-    on the same grid, so discretization error enters only through the weight.
+    The stochastic-integral weight is the left-point Ito sum of
+    <sigma*(sigma sigma*)^{-1} Phi(r), dW> on a uniform grid, and each path
+    draws the terminal state and this weight from their exact joint Gaussian
+    law, so discretization error enters only through the weight.
     """
     if T <= s:
         raise ValueError("T must exceed s")
@@ -246,18 +303,10 @@ def bismut_gradient(model: SpectralModel, s: float, T: float, f: Callable, z, v,
         raise ValueError("need n_paths >= 2 and n_steps >= 1")
     ctrl = perturbation_controls(model, s, T, v)
     times = np.linspace(s, T, n_steps + 1)
-    hvec = _weight_table(ctrl, times)
     rng = substream(seed, *stream)
-    kers = _step_kernels(model, s, T, n_steps)
-    z0 = np.asarray(z, dtype=float).reshape(model.dim)
-    cur = np.broadcast_to(z0, (n_paths, model.dim)).copy()
-    weight = np.zeros(n_paths)
-    for i, ker in enumerate(kers):
-        dw, eta = ker.draw(rng, n_paths)
-        weight += dw @ hvec[i]
-        cur = cur @ ker.E.T + eta
-    vals = np.asarray(f(cur), dtype=float).reshape(n_paths)
-    prod = vals * weight
+    Z, S = _joint_draw(model, z, [(times, _weight_table(ctrl, times))], rng, n_paths)
+    vals = np.asarray(f(Z), dtype=float).reshape(n_paths)
+    prod = vals * S[:, 0]
     value = float(prod.mean())
     stderr = float(prod.std(ddof=1) / math.sqrt(n_paths))
     return GradientEstimate(value=value, stderr=stderr, n_paths=n_paths,
@@ -272,7 +321,7 @@ def bismut_hessian(model: SpectralModel, s: float, T: float, f: Callable, z,
     The window is split at t = (s+T)/2; the inner weight over [s, t] uses
     v_tilde, the outer weight over [t, T] uses the transported direction
     v_t = e^{(t-s)A} v, and the estimator is the product of the two weights
-    times f at the terminal state.
+    times f at the terminal state, all three drawn jointly.
     """
     if T <= s:
         raise ValueError("T must exceed s")
@@ -286,24 +335,12 @@ def bismut_hessian(model: SpectralModel, s: float, T: float, f: Callable, z,
 
     times1 = np.linspace(s, t_mid, half + 1)
     times2 = np.linspace(t_mid, T, half + 1)
-    h1 = _weight_table(ctrl_inner, times1)
-    h2 = _weight_table(ctrl_outer, times2)
-
+    windows = [(times1, _weight_table(ctrl_inner, times1)),
+               (times2, _weight_table(ctrl_outer, times2))]
     rng = substream(seed, *stream)
-    z0 = np.asarray(z, dtype=float).reshape(model.dim)
-    cur = np.broadcast_to(z0, (n_paths, model.dim)).copy()
-    w1 = np.zeros(n_paths)
-    for i, ker in enumerate(_step_kernels(model, s, t_mid, half)):
-        dw, eta = ker.draw(rng, n_paths)
-        w1 += dw @ h1[i]
-        cur = cur @ ker.E.T + eta
-    w2 = np.zeros(n_paths)
-    for i, ker in enumerate(_step_kernels(model, t_mid, T, half)):
-        dw, eta = ker.draw(rng, n_paths)
-        w2 += dw @ h2[i]
-        cur = cur @ ker.E.T + eta
-    vals = np.asarray(f(cur), dtype=float).reshape(n_paths)
-    prod = vals * w1 * w2
+    Z, S = _joint_draw(model, z, windows, rng, n_paths)
+    vals = np.asarray(f(Z), dtype=float).reshape(n_paths)
+    prod = vals * S[:, 0] * S[:, 1]
     return GradientEstimate(value=float(prod.mean()),
                             stderr=float(prod.std(ddof=1) / math.sqrt(n_paths)),
                             n_paths=n_paths,
@@ -334,7 +371,8 @@ def verify_coupling(model: SpectralModel, s: float, T: float, v, eps: float,
         R_eps = exp(eps S - eps^2/2 Q),  S = sum <h(r_i), dW_i>,
                                          Q = sum |h(r_i)|^2 dt,
 
-    whose expectation is exactly 1 for the discretized pair.
+    whose expectation is exactly 1 for the discretized pair.  S is exactly
+    N(0, Q), so each path draws that one scalar.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
@@ -343,27 +381,13 @@ def verify_coupling(model: SpectralModel, s: float, T: float, v, eps: float,
     if eps == 0.0:
         return CouplingReport(terminal_gap=gap, girsanov_mean=1.0,
                               girsanov_stderr=0.0, eps=eps, n_paths=0)
-    times = np.linspace(s, T, n_steps + 1)
-    hvec = _weight_table(ctrl, times)
-    dt = (T - s) / n_steps
-    qhat = float(np.sum(hvec ** 2)) * dt
+    hvec = _weight_table(ctrl, np.linspace(s, T, n_steps + 1))
+    qhat = float(np.sum(hvec ** 2)) * (T - s) / n_steps
     rng = substream(seed, "bismut", "girsanov")
-    k = model.sigma_at(s).shape[1]
-    mean_acc = 0.0
-    sq_acc = 0.0
-    block = max(1, min(n_paths, 200000 // max(1, n_steps)))
-    done = 0
-    while done < n_paths:
-        nb = min(block, n_paths - done)
-        dW = math.sqrt(dt) * rng.standard_normal((nb, n_steps, k))
-        S = np.einsum("pik,ik->p", dW, hvec)
-        R = np.exp(eps * S - 0.5 * eps ** 2 * qhat)
-        mean_acc += float(R.sum())
-        sq_acc += float((R ** 2).sum())
-        done += nb
-    mean = mean_acc / n_paths
-    var = max(sq_acc / n_paths - mean ** 2, 0.0)
-    stderr = math.sqrt(var / n_paths)
+    S = math.sqrt(qhat) * rng.standard_normal(n_paths)
+    R = np.exp(eps * S - 0.5 * eps ** 2 * qhat)
+    mean = float(R.mean())
+    stderr = float(R.std() / math.sqrt(n_paths))
     return CouplingReport(terminal_gap=gap, girsanov_mean=mean,
                           girsanov_stderr=stderr, eps=eps, n_paths=n_paths)
 

@@ -92,6 +92,12 @@ def validate_config(raw: dict) -> list:
     elif scenario not in SCENARIOS:
         errors.append(f"experiment.scenario: unknown scenario {scenario!r}; "
                       f"known: {', '.join(sorted(SCENARIOS))}")
+    else:
+        knobs = SCENARIOS[scenario].knobs
+        for key in exp:
+            if key not in ("scenario", "seed") and key not in knobs:
+                errors.append(f"experiment.{key}: unknown knob for scenario "
+                              f"{scenario!r}; known: {', '.join(knobs) or 'none'}")
     if "seed" not in exp:
         errors.append("experiment.seed: missing (no silent nondeterminism)")
     else:

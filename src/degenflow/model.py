@@ -423,13 +423,17 @@ def _min_sv(mat: np.ndarray) -> float:
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential with an elementwise fast path for diagonal input."""
+    """Matrix exponential of one (k, k) matrix or a stack (n, k, k), with an
+    elementwise fast path when every matrix is diagonal."""
     M = np.asarray(M, dtype=float)
     if M.shape == (1, 1):
         return np.array([[math.exp(M[0, 0])]])
-    off = M - np.diag(np.diag(M))
-    if not np.any(off):
-        return np.diag(np.exp(np.diag(M)))
+    k = M.shape[-1]
+    if not np.any(M[..., ~np.eye(k, dtype=bool)]):
+        out = np.zeros_like(M)
+        i = np.arange(k)
+        out[..., i, i] = np.exp(M[..., i, i])
+        return out
     return expm(M)
 
 

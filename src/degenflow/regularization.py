@@ -297,27 +297,32 @@ def field_grad2(field: FieldGrid, s: float, z) -> np.ndarray:
     z must lie inside the box; within one cell of a y-boundary the stencil
     falls back to one-sided and a BoundaryExtrapolationWarning is issued.
     """
-    z = np.asarray(z, dtype=float).reshape(field.dim)
+    z = np.asarray(z, dtype=float).reshape(1, field.dim)
+    return _field_grad2_many(field, np.array([float(s)]), z)[0]
+
+
+def _field_grad2_many(field: FieldGrid, times_q: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """field_grad2 at each (times_q[n], pts[n]): (n, d, d), with the same
+    one-sided stencils and one warning per y-axis that needs them."""
     h = field.spacing()
-    J = np.empty((field.d, field.d))
+    J = np.empty((pts.shape[0], field.d, field.d))
     for j in range(field.d):
         ax = field.m + j
         hj = h[ax]
-        zp = z.copy()
-        zm = z.copy()
-        if z[ax] + hj > field.hi[ax] or z[ax] - hj < field.lo[ax]:
+        z = pts[:, ax]
+        near_hi = z + hj > field.hi[ax]
+        near_lo = ~near_hi & (z - hj < field.lo[ax])
+        one_sided = near_hi | near_lo
+        if np.any(one_sided):
             warnings.warn(f"one-sided stencil at axis {ax} (within one cell of "
                           "the boundary)", BoundaryExtrapolationWarning)
-            if z[ax] + hj > field.hi[ax]:
-                zm[ax] -= hj
-                J[:, j] = (field.interp(s, z) - field.interp(s, zm))[0] / hj
-            else:
-                zp[ax] += hj
-                J[:, j] = (field.interp(s, zp) - field.interp(s, z))[0] / hj
-        else:
-            zp[ax] += hj
-            zm[ax] -= hj
-            J[:, j] = (field.interp(s, zp) - field.interp(s, zm))[0] / (2.0 * hj)
+        zp = pts.copy()
+        zm = pts.copy()
+        zp[:, ax] = np.where(near_hi, z, z + hj)
+        zm[:, ax] = np.where(near_lo, z, z - hj)
+        denom = np.where(one_sided, hj, 2.0 * hj)[:, None]
+        J[:, :, j] = (field.interp_many(times_q, zp)
+                      - field.interp_many(times_q, zm)) / denom
     return J
 
 
@@ -765,17 +770,18 @@ def galerkin_compare(model: SpectralModel, mode_drifts: Sequence[Callable],
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
 
     times = grid2d.times()
-    # per (probe, time, mode): value and y-derivative of u_i at (x_i, y_i)
-    vals = np.zeros((probes.shape[0], times.size, n_ref))
+    # per (probe, time, mode): value and y-derivative of u_i at (x_i, y_i),
+    # queried for all probes x times at once (probe-major)
+    n_p = probes.shape[0]
+    tq = np.tile(times, n_p)
+    vals = np.zeros((n_p, times.size, n_ref))
     ders = np.zeros_like(vals)
     for i, field in enumerate(fields):
         if field is None:
             continue
-        for p, zp in enumerate(probes):
-            pt = np.array([zp[i], zp[n_ref + i]])
-            for k, t in enumerate(times):
-                vals[p, k, i] = field.interp(float(t), pt)[0, 0]
-                ders[p, k, i] = field_grad2(field, float(t), pt)[0, 0]
+        pts = np.repeat(probes[:, [i, n_ref + i]], times.size, axis=0)
+        vals[:, :, i] = field.interp_many(tq, pts)[:, 0].reshape(n_p, -1)
+        ders[:, :, i] = _field_grad2_many(field, tq, pts)[:, 0, 0].reshape(n_p, -1)
 
     value_gaps = []
     grad_gaps = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -66,10 +66,14 @@ ANCHORS = {
 
 @dataclass(frozen=True)
 class ScenarioInfo:
+    """A catalog entry; ``knobs`` names every experiment key the runner reads
+    besides scenario and seed (validation rejects any other)."""
+
     name: str
     description: str
     anchor: str
     runner: Callable
+    knobs: Tuple[str, ...] = ()
 
 
 def _anchor_line(anchor: str, text: str) -> str:
@@ -325,12 +329,14 @@ SCENARIOS = {
         "kinetic_bismut",
         "Monte-Carlo derivative probes on the kinetic scalar flow vs analytic "
         "Gaussian derivatives, plus the coupling/Girsanov check",
-        "bismut-gradient-identity", _run_kinetic_bismut),
+        "bismut-gradient-identity", _run_kinetic_bismut,
+        ("n_paths", "n_steps")),
     "gradient_scaling": ScenarioInfo(
         "gradient_scaling",
         "fitted gap-exponents of the semigroup gradient sup-norms in both "
         "direction classes",
-        "gradient-x-exponent", _run_gradient_scaling),
+        "gradient-x-exponent", _run_gradient_scaling,
+        ("budget",)),
     "gramian_sweep": ScenarioInfo(
         "gramian_sweep",
         "dyadic sweep of the inverse-Gramian cubic scaling",
@@ -339,25 +345,30 @@ SCENARIOS = {
         "picard_lambda_sweep",
         "fixed-point solves along a doubling discount sweep with norm decay "
         "and contraction factors",
-        "field-norm-sqrt-decay", _run_picard_lambda_sweep),
+        "field-norm-sqrt-decay", _run_picard_lambda_sweep,
+        ("base_points",)),
     "galerkin_wave": ScenarioInfo(
         "galerkin_wave",
         "truncation-gap decay of the fixed-point field for the wave system",
-        "galerkin-gap-decay", _run_galerkin_wave),
+        "galerkin-gap-decay", _run_galerkin_wave,
+        ("n_reference", "amplitude", "lam")),
     "uniqueness_rough": ScenarioInfo(
         "uniqueness_rough",
         "common-noise gap tables for the rough drift across perturbations "
         "and step counts",
-        "uniqueness-common-noise", _run_uniqueness_rough),
+        "uniqueness-common-noise", _run_uniqueness_rough,
+        ("t_final", "steps", "perturbations")),
     "representation_residual": ScenarioInfo(
         "representation_residual",
         "residual decay of the field representation identity under step "
         "refinement (constant and rough drifts)",
-        "representation-identity", _run_representation_residual),
+        "representation-identity", _run_representation_residual,
+        ("lam", "n_paths", "rough_gridpoints", "rough_timenodes")),
     "bihari_envelope": ScenarioInfo(
         "bihari_envelope",
         "pathwise nonlinear-Gronwall envelope check for the dissipative drift",
-        "bihari-envelope", _run_bihari_envelope),
+        "bihari-envelope", _run_bihari_envelope,
+        ("t_final", "n_paths", "n_steps")),
 }
 
 

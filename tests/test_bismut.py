@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from conftest import assert_within_se
-from degenflow.bismut import (bismut_gradient, bismut_hessian, gramian_Q,
-                              perturbation_controls, scaling_exponent,
-                              transported_direction, variance_bound_check,
-                              verify_coupling)
+from degenflow.bismut import (_joint_moments, _weight_table, bismut_gradient,
+                              bismut_hessian, gramian_Q, perturbation_controls,
+                              scaling_exponent, transported_direction,
+                              variance_bound_check, verify_coupling)
 from degenflow.errors import AccuracyWarning, SingularGramianError
-from degenflow.linear_flow import apply_P0
+from degenflow.linear_flow import apply_P0, sample_linear
 from degenflow.model import SpectralModel, build_example
 
 
@@ -166,6 +166,63 @@ def test_finite_difference_oracle(kinetic):
                           n_steps=256, seed=6)
     tol = max(5.0 * est.stderr, 1e-2 * abs(est.value))
     assert abs(est.value - fd) <= tol
+
+
+def test_joint_moments_closed_forms(kinetic):
+    # Kinetic flow on [0, 1] split into two windows with their own weights:
+    # Cov(Y_T, S) = h sum h_i, Cov(X_T, S) = sum h_i int_{r_i}^{r_i+1} (T-r) dr,
+    # Var S = h sum h_i^2, and (X_T, Y_T) ~ N((x+y, y), [[1/3, 1/2], [1/2, 1]]).
+    windows = []
+    for (a, b), v in (((0.0, 0.5), [0.0, 1.0]), ((0.5, 1.0), [1.0, -0.5])):
+        times = np.linspace(a, b, 33)
+        windows.append((times, _weight_table(perturbation_controls(kinetic, a, b, v), times)))
+    mean, P, C, var = _joint_moments(kinetic, [0.3, -0.2], windows)
+    np.testing.assert_allclose(mean, [0.1, -0.2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(P, [[1.0 / 3.0, 0.5], [0.5, 1.0]], rtol=0, atol=1e-12)
+    for j, (times, hvec) in enumerate(windows):
+        hi, h = hvec[:, 0], times[1] - times[0]
+        ramp = ((1.0 - times[:-1]) ** 2 - (1.0 - times[1:]) ** 2) / 2.0
+        np.testing.assert_allclose(C[:, j], [hi @ ramp, h * hi.sum()], rtol=0, atol=1e-12)
+        assert abs(var[j] - h * float(hi @ hi)) <= 1e-12
+
+
+def _sigma_in_time():
+    return SpectralModel(m=1, d=1, A1=[[0.0]], A2=[[-0.5]], B=[[1.0]], A0=[[-0.5]],
+                         sigma=lambda t: [[1.0 + 0.5 * t]])
+
+
+def _pathwise(model, f, z, windows, n_paths, n_steps, seed):
+    """Path-stepping oracle: f(Z_T) times the product of the Ito sums
+    sum <h(r_i), dW_i>, one per (ctrl, first step, last step) window, all on
+    the paths and increments of sample_linear over [0, 1]."""
+    bundle = sample_linear(model, 0.0, 1.0, z, n_paths, n_steps, seed)
+    prod = np.asarray(f(bundle.Z[:, -1]), dtype=float)
+    for ctrl, i0, i1 in windows:
+        hvec = ctrl.weight_vector(bundle.times[i0:i1])
+        prod = prod * np.einsum("pik,ik->p", bundle.dW[:, i0:i1], hvec)
+    return prod.mean(), prod.std(ddof=1) / math.sqrt(n_paths)
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "sigma_in_time"])
+def test_terminal_law_matches_path_stepping(kind, kinetic):
+    model = kinetic if kind == "kinetic" else _sigma_in_time()
+    z, v, vt = [0.2, -0.4], [0.6, 0.8], [1.0, -0.3]
+    f = lambda zz: np.tanh(zz[:, 0]) + 0.5 * zz[:, 1] ** 2
+    n, N = 40000, 64
+
+    est = bismut_gradient(model, 0.0, 1.0, f, z, v, n_paths=n, n_steps=N, seed=21)
+    ref, ref_se = _pathwise(model, f, z, [(perturbation_controls(model, 0.0, 1.0, v), 0, N)],
+                            n, N, seed=22)
+    assert_within_se(est.value, ref, math.hypot(est.stderr, ref_se))
+
+    est = bismut_hessian(model, 0.0, 1.0, f, z, v, vt, n_paths=n, n_steps=N, seed=23)
+    half = N // 2
+    v_mid = transported_direction(model, 0.0, 0.5, v)
+    ref, ref_se = _pathwise(model, f, z,
+                            [(perturbation_controls(model, 0.0, 0.5, vt), 0, half),
+                             (perturbation_controls(model, 0.5, 1.0, v_mid), half, N)],
+                            n, N, seed=24)
+    assert_within_se(est.value, ref, math.hypot(est.stderr, ref_se))
 
 
 # ---------------------------------------------------------------------------

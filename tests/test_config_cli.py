@@ -48,6 +48,18 @@ def test_negative_budget_rejected():
     assert any("experiment.n_paths" in e for e in errors)
 
 
+def test_unknown_knob_rejected(tmp_path):
+    raw = {"experiment": {"scenario": "kinetic_bismut", "seed": 1, "n_pathz": 5}}
+    errors = validate_config(raw)
+    assert len(errors) == 1 and errors[0].startswith("experiment.n_pathz: unknown knob")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    code, _, err = _run_cli("run", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert "experiment.n_pathz" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_configs_validate():
     for path in CONFIG_DIR.glob("*.yaml"):
         if path.name == "missing_seed.yaml":

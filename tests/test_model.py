@@ -186,3 +186,17 @@ def test_modulus_from_tag_selects_families():
     assert modulus_from_tag("log_sqrt").family == "log_sqrt"
     with pytest.raises(ValueError):
         modulus_from_tag("unknown")
+
+
+def test_expm_on_a_stack_matches_each_matrix():
+    from scipy.linalg import expm
+    from degenflow.model import _expm
+    rng = np.random.default_rng(3)
+    full = rng.normal(size=(5, 3, 3))
+    diag = np.stack([np.diag(rng.normal(size=3)) for _ in range(5)])
+    for stack in (full, diag):
+        np.testing.assert_allclose(_expm(stack), np.stack([expm(M) for M in stack]),
+                                   rtol=1e-13, atol=1e-14)
+    # the diagonal fast path keeps off-diagonal entries exactly zero
+    out = _expm(diag)
+    assert not np.any(out[:, ~np.eye(3, dtype=bool)])

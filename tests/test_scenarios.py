@@ -33,12 +33,19 @@ EXPECTED_FILES = {
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_runs_and_cites_anchors(name, tmp_path):
+def test_scenario_runs_and_cites_anchors(name, tmp_path, monkeypatch):
     raw = {"experiment": {"scenario": name, "seed": 7, **LIGHT_KNOBS[name]},
            "output": {"dir": str(tmp_path)}}
     assert validate_config(raw) == []
     cfg = ScenarioConfig(raw=raw)
+    read = set()
+    knob = ScenarioConfig.knob
+    monkeypatch.setattr(ScenarioConfig, "knob",
+                        lambda self, key, default: read.add(key) or knob(self, key, default))
     lines = run_scenario(cfg, tmp_path)
+    # the runner reads exactly its declared knobs: validation rejects no
+    # knob it honours and accepts none it ignores
+    assert read == set(SCENARIOS[name].knobs)
     assert lines, "scenario produced no summary lines"
     for line in lines:
         assert line.startswith("["), f"summary line without anchor: {line}"
