@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    from .scenarios import ANCHORS, SCENARIOS
+    from .scenarios import SCENARIOS
     if args.machine:
         print("name,anchor,description")
         for name in sorted(SCENARIOS):

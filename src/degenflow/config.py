@@ -2,10 +2,14 @@
 
 Sections:
 
-    model:       kind (kinetic | second_order | wave) + parameters
-    drift:       family tag + parameters (overrides the example default)
     experiment:  scenario name, root seed, budgets, sweep grids
     output:      dir, formats
+    model:       kind + parameters, only for a scenario that declares it
+                 reads one (galerkin_wave, kind wave)
+    drift:       read by no shipped scenario, so always rejected
+
+A key or section the scenario does not read fails validation instead of
+being silently ignored.
 
 All randomness flows from experiment.seed through named substreams, so
 re-running a config reproduces every number byte-for-byte.
@@ -20,12 +24,6 @@ from typing import Optional
 import yaml
 
 from .errors import ConfigError
-from .model import build_drift, build_example
-
-MODEL_KINDS = ("kinetic", "second_order", "wave")
-DRIFT_FAMILIES = ("zero", "constant", "dissipative", "rough_d1", "rough_y",
-                  "tanh_steep")
-MODULUS_FAMILIES = ("power", "log_power", "log_sqrt")
 
 
 @dataclass(frozen=True)
@@ -36,10 +34,6 @@ class ScenarioConfig:
     @property
     def model_section(self) -> dict:
         return dict(self.raw.get("model", {}))
-
-    @property
-    def drift_section(self) -> dict:
-        return dict(self.raw.get("drift", {}))
 
     @property
     def experiment(self) -> dict:
@@ -63,18 +57,6 @@ class ScenarioConfig:
     def outdir(self) -> Path:
         return Path(self.output.get("dir", "degenflow-out"))
 
-    def build_model(self):
-        """(SpectralModel, DriftSpec) from the model and drift sections."""
-        section = self.model_section
-        kind = section.pop("kind", "kinetic")
-        drift = self.drift_section
-        if drift:
-            params = dict(drift)
-            family = params.pop("family")
-            section["drift"] = family
-            section["drift_params"] = params
-        return build_example(kind, **section)
-
 
 def validate_config(raw: dict) -> list:
     """Field-level validation; returns a list of error strings (empty = ok)."""
@@ -93,11 +75,21 @@ def validate_config(raw: dict) -> list:
         errors.append(f"experiment.scenario: unknown scenario {scenario!r}; "
                       f"known: {', '.join(sorted(SCENARIOS))}")
     else:
-        knobs = SCENARIOS[scenario].knobs
+        info = SCENARIOS[scenario]
         for key in exp:
-            if key not in ("scenario", "seed") and key not in knobs:
+            if key not in ("scenario", "seed") and key not in info.knobs:
                 errors.append(f"experiment.{key}: unknown knob for scenario "
-                              f"{scenario!r}; known: {', '.join(knobs) or 'none'}")
+                              f"{scenario!r}; known: {', '.join(info.knobs) or 'none'}")
+        for section in ("model", "drift"):
+            if section in raw and section not in info.sections:
+                errors.append(f"{section}: scenario {scenario!r} fixes its own "
+                              f"{section} and does not read this section")
+        if "model" in raw and "model" in info.sections:
+            model = raw["model"]
+            kind = model.get("kind", info.model_kind) if isinstance(model, dict) else None
+            if kind != info.model_kind:
+                errors.append(f"model.kind: scenario {scenario!r} builds a "
+                              f"{info.model_kind!r} model, got {kind!r}")
     if "seed" not in exp:
         errors.append("experiment.seed: missing (no silent nondeterminism)")
     else:
@@ -118,24 +110,6 @@ def validate_config(raw: dict) -> list:
                 except (TypeError, ValueError):
                     errors.append(f"experiment.{key}: must be a positive integer")
                     break
-    model = raw.get("model", {})
-    if model:
-        kind = model.get("kind", "kinetic")
-        if kind not in MODEL_KINDS:
-            errors.append(f"model.kind: unknown kind {kind!r}; "
-                          f"known: {', '.join(MODEL_KINDS)}")
-    drift = raw.get("drift", {})
-    if drift:
-        family = drift.get("family")
-        if not family:
-            errors.append("drift.family: missing")
-        elif family not in DRIFT_FAMILIES:
-            errors.append(f"drift.family: unknown family {family!r}; "
-                          f"known: {', '.join(DRIFT_FAMILIES)}")
-        modulus = drift.get("modulus")
-        if modulus and modulus not in MODULUS_FAMILIES:
-            errors.append(f"drift.modulus: unknown family {modulus!r}; "
-                          f"known: {', '.join(MODULUS_FAMILIES)}")
     out = raw.get("output", {})
     if out and "dir" in out and not isinstance(out["dir"], str):
         errors.append("output.dir: must be a string path")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,17 +38,12 @@ ANCHORS = {
     "gradient-y-exponent":
         "y-direction gradient norm of the semigroup scales like gap^(-1/2) "
         "on bounded observables",
-    "hs-noise-envelope":
-        "the Hilbert-Schmidt noise integral is bounded by c2 (t-s)^delta",
     "picard-contraction-half":
         "the discounted fixed-point map contracts with factor <= 1/2 once "
         "the discount rate is large enough",
     "field-norm-sqrt-decay":
         "the fixed-point norm (sup plus y-gradient sup) decays like "
         "lambda^(-1/2) along a discount sweep",
-    "theta-invertibility":
-        "the state transform (x, y) -> (x, y + u(x, y)) is invertible while "
-        "the y-gradient bound stays below 1",
     "galerkin-gap-decay":
         "spectral truncation gaps of the fixed-point field decrease as more "
         "modes are retained",
@@ -67,13 +62,17 @@ ANCHORS = {
 @dataclass(frozen=True)
 class ScenarioInfo:
     """A catalog entry; ``knobs`` names every experiment key the runner reads
-    besides scenario and seed (validation rejects any other)."""
+    besides scenario and seed, and ``sections`` the optional config sections
+    ("model", "drift") it reads, a model section only of kind ``model_kind``
+    (validation rejects any other)."""
 
     name: str
     description: str
     anchor: str
     runner: Callable
     knobs: Tuple[str, ...] = ()
+    sections: Tuple[str, ...] = ()
+    model_kind: Optional[str] = None
 
 
 def _anchor_line(anchor: str, text: str) -> str:
@@ -351,7 +350,7 @@ SCENARIOS = {
         "galerkin_wave",
         "truncation-gap decay of the fixed-point field for the wave system",
         "galerkin-gap-decay", _run_galerkin_wave,
-        ("n_reference", "amplitude", "lam")),
+        ("n_reference", "amplitude", "lam"), sections=("model",), model_kind="wave"),
     "uniqueness_rough": ScenarioInfo(
         "uniqueness_rough",
         "common-noise gap tables for the rough drift across perturbations "

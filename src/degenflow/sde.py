@@ -28,6 +28,7 @@ and the a-priori envelope is the nonlinear Gronwall (Bihari) bound
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -37,7 +38,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import CoverageError, IterationError, NonOsgoodWarning
-from .linear_flow import PathBundle, _step_kernels
+from .linear_flow import PathBundle, _step_kernels, step_kernel
 from .model import DriftSpec, SpectralModel, _expm
 from .regularization import FieldGrid
 from .streams import stream_name, substream
@@ -72,7 +73,11 @@ BLOWUP_THRESHOLD = 1e8
 
 @dataclass(frozen=True)
 class NoiseRecord:
-    """Per-step randomness of an integration: raw increments and convolutions."""
+    """Per-step randomness of an integration: raw increments and convolutions.
+
+    Arrays are indexed path-major; records built here are stored step-major
+    in memory, so one step's slice across paths is contiguous.
+    """
 
     times: np.ndarray  # (N+1,)
     dW: np.ndarray     # (n_paths, N, k)
@@ -87,20 +92,48 @@ class NoiseRecord:
         return self.dW.shape[1]
 
 
+def _step_flow(model: SpectralModel, s: float, t: float, n_steps: int):
+    """(E, J inj) of one step of the uniform grid on [s, t].
+
+    Neither depends on sigma or on the step, so one kernel serves every step
+    of the integrator and of the record helpers alike.
+    """
+    ker = step_kernel(model, s, (t - s) / n_steps)
+    return ker.E, ker.J @ model.injection()
+
+
 def make_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
                seed: int, stream: Sequence[str] = ("sde", "noise"),
                s: float = 0.0) -> NoiseRecord:
+    """Record of ``n_paths`` x ``n_steps`` exact step draws on [s, T].
+
+    One normal draw fills the whole record in the order of successive
+    ``StepKernel.draw`` calls (per step: the increments, then the
+    conditional normals), and each step's convolution is the same product
+    as in ``draw``, so the record equals the per-step draws exactly.  The
+    arrays are step-major in memory (path-major views), and the
+    convolutions overwrite the conditional normals a block of steps at a
+    time, so the record needs no memory beyond the draw.
+    """
     rng = substream(seed, *stream)
     kers = _step_kernels(model, s, T, n_steps)
     times = np.linspace(s, T, n_steps + 1)
-    k = kers[0].k
-    dW = np.empty((n_paths, n_steps, k))
-    eta = np.empty((n_paths, n_steps, model.dim))
-    for i, ker in enumerate(kers):
-        dw, et = ker.draw(rng, n_paths)
-        dW[:, i, :] = dw
-        eta[:, i, :] = et
-    return NoiseRecord(times=times, dW=dW, eta=eta)
+    k, dim = kers[0].k, model.dim
+    if model.sigma_constant:
+        K = np.broadcast_to(kers[0].Kmat.T, (n_steps, k, dim))
+        L = np.broadcast_to(kers[0].L.T, (n_steps, dim, dim))
+    else:
+        K = np.stack([ker.Kmat for ker in kers]).transpose(0, 2, 1)
+        L = np.stack([ker.L for ker in kers]).transpose(0, 2, 1)
+    raw = rng.standard_normal((n_steps, n_paths * (k + dim)))
+    dW = raw[:, : n_paths * k].reshape(n_steps, n_paths, k)
+    dW *= math.sqrt(kers[0].h)
+    xi = raw[:, n_paths * k:].reshape(n_steps, n_paths, dim)
+    for a in range(0, n_steps, 64):
+        blk = slice(a, a + 64)
+        xi[blk] = dW[blk] @ K[blk] + xi[blk] @ L[blk]
+    return NoiseRecord(times=times, dW=dW.transpose(1, 0, 2),
+                       eta=xi.transpose(1, 0, 2))
 
 
 def noise_from_bundle(model: SpectralModel, bundle: PathBundle) -> NoiseRecord:
@@ -113,12 +146,10 @@ def noise_from_bundle(model: SpectralModel, bundle: PathBundle) -> NoiseRecord:
     h = float(times[1] - times[0])
     if not np.allclose(np.diff(times), h):
         raise ValueError("bundle grid must be uniform")
-    kers = _step_kernels(model, float(times[0]), float(times[-1]), bundle.n_steps)
-    Z = bundle.Z
-    eta = np.empty((bundle.n_paths, bundle.n_steps, model.dim))
-    for i, ker in enumerate(kers):
-        eta[:, i, :] = Z[:, i + 1, :] - Z[:, i, :] @ ker.E.T
-    return NoiseRecord(times=times, dW=bundle.dW, eta=eta)
+    E, _ = _step_flow(model, float(times[0]), float(times[-1]), bundle.n_steps)
+    Z = bundle.Z.transpose(1, 0, 2)                   # step-major (N+1, P, m+d)
+    eta = Z[1:] - Z[:-1] @ E.T
+    return NoiseRecord(times=times, dW=bundle.dW, eta=eta.transpose(1, 0, 2))
 
 
 def coarsen_noise(model: SpectralModel, noise: NoiseRecord, factor: int) -> NoiseRecord:
@@ -131,17 +162,17 @@ def coarsen_noise(model: SpectralModel, noise: NoiseRecord, factor: int) -> Nois
         raise ValueError("factor must divide the number of steps")
     if factor == 1:
         return noise
-    kers = _step_kernels(model, float(noise.times[0]), float(noise.times[-1]),
-                         noise.n_steps)
-    N2 = noise.n_steps // factor
-    dW = noise.dW.reshape(noise.n_paths, N2, factor, -1).sum(axis=2)
-    eta = np.zeros((noise.n_paths, N2, model.dim))
-    for g in range(N2):
-        acc = noise.eta[:, g * factor, :]
-        for j in range(1, factor):
-            acc = acc @ kers[g * factor + j].E.T + noise.eta[:, g * factor + j, :]
-        eta[:, g, :] = acc
-    return NoiseRecord(times=noise.times[::factor], dW=dW, eta=eta)
+    E, _ = _step_flow(model, float(noise.times[0]), float(noise.times[-1]),
+                      noise.n_steps)
+    P, N2 = noise.n_paths, noise.n_steps // factor
+    # summed in the path-major layout, so the bits do not depend on storage
+    dW = np.ascontiguousarray(noise.dW).reshape(P, N2, factor, -1).sum(axis=2)
+    # (group, position in group, path, m+d): Horner over the positions
+    fine = noise.eta.reshape(P, N2, factor, model.dim).transpose(1, 2, 0, 3)
+    acc = fine[:, 0]
+    for j in range(1, factor):
+        acc = acc @ E.T + fine[:, j]
+    return NoiseRecord(times=noise.times[::factor], dW=dW, eta=acc.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +271,37 @@ def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
         raise ValueError("n_steps must be >= 1")
     rec = _resolve_noise(model, T, n_steps, n_paths, noise)
     n_paths = rec.n_paths
-    kers = _step_kernels(model, 0.0, T, n_steps)
+    E, Jinj = _step_flow(model, 0.0, T, n_steps)
+    ET, JT = E.T, Jinj.T
     times = rec.times
+    ts = times.tolist()
+    m = model.m
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim == 1:
         z0 = np.broadcast_to(z0, (n_paths, model.dim))
     z = z0.astype(float).copy()
     Z = np.empty((n_paths, n_steps + 1, model.dim))
     Z[:, 0, :] = z
-    inj = model.injection()
+    eta = rec.eta
     blow_t = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
-    for i, ker in enumerate(kers):
-        if np.any(alive):
-            Jinj = ker.J @ inj
+    n_alive = n_paths
+    for i in range(n_steps):
+        if n_alive == n_paths:  # no gather or scatter while every path lives
+            bv = np.asarray(b(ts[i], z[:, :m], z[:, m:]), dtype=float)
+            z = znew = z @ ET + bv @ JT + eta[:, i, :]
+        elif n_alive:
             za = z[alive]
-            bv = np.asarray(b(float(times[i]), za[:, : model.m], za[:, model.m:]),
-                            dtype=float)
-            znew = za @ ker.E.T + bv @ Jinj.T + rec.eta[alive, i, :]
+            bv = np.asarray(b(ts[i], za[:, :m], za[:, m:]), dtype=float)
+            znew = za @ ET + bv @ JT + eta[alive, i, :]
             z[alive] = znew
-            norms = np.linalg.norm(znew, axis=-1)
-            exploded = norms > threshold
-            if np.any(exploded):
+        if n_alive:
+            exploded = np.sqrt((znew * znew).sum(axis=-1)) > threshold
+            if exploded.any():
                 ids = np.flatnonzero(alive)[exploded]
                 blow_t[ids] = times[i + 1]
                 alive[ids] = False
+                n_alive -= ids.size
         Z[:, i + 1, :] = z
     return EnsembleTrajectories(times=times, Z=Z, dW=rec.dW, eta=rec.eta,
                                 blowup_times=blow_t, m=model.m)
@@ -350,33 +387,51 @@ def uniqueness_experiment(model: SpectralModel, b: DriftSpec, z0,
                           n_steps_list: Sequence[int], seed: int) -> UniquenessTable:
     """Common-noise gap table between starts z0 and z0 + perturbation.
 
-    Both trajectories share the same recorded noise per step count; the
-    perturbation is applied along the normalized all-ones direction.  With
-    perturbation = 0 the two integrations are identical arithmetic and the
-    gap is exactly zero.  Blow-ups are reported in the table, not raised.
+    Both trajectories share the same recorded noise per step count and run
+    as the two paths of one ensemble; the perturbation is applied along the
+    normalized all-ones direction.  With perturbation = 0 the two rows are
+    identical arithmetic and the gap is exactly zero.  Blow-ups are reported
+    in the table, not raised.
     """
     if perturbation < 0:
         raise ValueError("perturbation must be >= 0")
     z0 = np.asarray(z0, dtype=float).reshape(model.dim)
     direction = np.ones(model.dim) / math.sqrt(model.dim)
+    starts = np.stack([z0, z0 + perturbation * direction])
     rows = []
     for n in n_steps_list:
         noise = make_noise(model, T, int(n), 1, seed,
                            stream=("sde", "uniqueness", str(int(n))))
-        ta = integrate_ensemble(model, b, z0, T, int(n), noise=noise)
-        tb = integrate_ensemble(model, b, z0 + perturbation * direction, T,
-                                int(n), noise=noise)
-        gap = np.linalg.norm(ta.Z[0] - tb.Z[0], axis=-1)
+        ens = integrate_ensemble(model, b, starts, T, int(n), noise=noise, n_paths=2)
+        gap = np.linalg.norm(ens.Z[0] - ens.Z[1], axis=-1)
+        blew = np.isfinite(ens.blowup_times)
         rows.append(UniquenessRow(
             n_steps=int(n), sup_gap=float(np.max(gap)), gap_at_T=float(gap[-1]),
-            blew_up_a=bool(np.isfinite(ta.blowup_times[0])),
-            blew_up_b=bool(np.isfinite(tb.blowup_times[0]))))
+            blew_up_a=bool(blew[0]), blew_up_b=bool(blew[1])))
     return UniquenessTable(rows=tuple(rows), perturbation=float(perturbation),
                            direction=direction, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
 # Representation identity residual
+
+
+def _scan(M: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """x_k = x_{k-1} M* + c_k along axis 0, with x_0 = c_0.
+
+    Log-depth doubling: after the pass with shift s, x_k sums
+    c_{k-j} (M^j)* over j < 2s, so log2(n) products by M, M^2, M^4, ...
+    finish the recursion.  Only non-negative powers of M appear, which
+    keeps the scan as stable as the step-by-step loop.
+    """
+    x = np.array(c, dtype=float)
+    P = M
+    s = 1
+    while s < x.shape[0]:
+        x[s:] += x[:-s] @ P.T
+        P = P @ P
+        s *= 2
+    return x
 
 
 @dataclass(frozen=True)
@@ -413,32 +468,21 @@ def representation_residual(model: SpectralModel, b: DriftSpec,
 
     uvals = field.interp_many(times, Zt)                      # (N+1, d)
     jacs = field.jacobian_y_many(times[:-1], Zt[:-1])         # (N, d, d)
-    lam_minus_A2 = lam * np.eye(d) - A2
-    q = uvals @ lam_minus_A2.T                                # (N+1, d)
+    q = uvals @ (lam * np.eye(d) - A2).T                      # (N+1, d)
+    sig = (model.sigma if model.sigma_constant
+           else np.stack([model.sigma_at(float(t)) for t in times[:-1]]))
+    grad_term = (jacs @ (sig @ trajectory.dW[..., None]))[..., 0]   # (N, d)
 
-    sig_dw = np.empty((N, d))
-    for i in range(N):
-        sig = model.sigma_at(float(times[i]))
-        sig_dw[i] = sig @ trajectory.dW[i]
-    grad_term = np.einsum("iaj,ij->ia", jacs, sig_dw)         # (N, d)
-    eta_y = trajectory.eta[:, m:]
-
+    # every term of the right-hand side but -u_k propagates through E2 per
+    # step, so one accumulator acc_k = acc_{k-1} E2* + inc_k carries them all
     Y = trajectory.Y
-    Y0 = Y[0]
-    u0 = uvals[0]
+    inc = np.empty((N + 1, d))
+    inc[0] = Y[0] + uvals[0]
+    inc[1:] = ((0.5 * h * q[:-1] + grad_term) @ E2.T + 0.5 * h * q[1:]
+               + trajectory.eta[:, m:])
+    rhs = _scan(E2, inc) - uvals
     residual = np.zeros(N + 1)
-    leb = np.zeros(d)
-    sto = np.zeros(d)
-    etY0 = Y0.copy()
-    etu0 = u0.copy()
-    for k2 in range(1, N + 1):
-        # propagate accumulated integrals one step and add the new increment
-        leb = leb @ E2.T + 0.5 * h * (q[k2 - 1] @ E2.T + q[k2])
-        sto = sto @ E2.T + eta_y[k2 - 1] + grad_term[k2 - 1] @ E2.T
-        etY0 = etY0 @ E2.T
-        etu0 = etu0 @ E2.T
-        rhs = etY0 + etu0 - uvals[k2] + leb + sto
-        residual[k2] = float(np.linalg.norm(Y[k2] - rhs))
+    residual[1:] = np.linalg.norm(Y[1:] - rhs[1:], axis=-1)
     return ResidualReport(max_residual=float(np.max(residual)),
                           per_time=residual, times=times)
 
@@ -588,6 +632,9 @@ def dissipation_envelope(model: SpectralModel, b: DriftSpec, z0, T: float,
                           sup_tilde_sq=sup_sq, times=times)
 
 
+_leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
 def _gamma_gl(ell: Callable, C: float, s: np.ndarray, n_gl: int = 8) -> np.ndarray:
     """Gamma at a nondecreasing array of points by cumulative Gauss-Legendre.
 
@@ -597,7 +644,7 @@ def _gamma_gl(ell: Callable, C: float, s: np.ndarray, n_gl: int = 8) -> np.ndarr
     """
     s = np.asarray(s, dtype=float)
     edges = np.concatenate([[1.0], s])
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_gl)
+    gl_x, gl_w = _leggauss(n_gl)
     lo = edges[:-1]
     hi = edges[1:]
     half = 0.5 * (hi - lo)

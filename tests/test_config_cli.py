@@ -60,6 +60,24 @@ def test_unknown_knob_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_unhonoured_section_rejected(tmp_path):
+    raw = {"drift": {"family": "zero"},
+           "experiment": {"scenario": "uniqueness_rough", "seed": 1}}
+    errors = validate_config(raw)
+    assert len(errors) == 1 and errors[0].startswith("drift: ")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    code, _, err = _run_cli("run", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert "drift" in err
+    assert not (tmp_path / "out").exists()
+    # the model section is honoured only where declared, and only its kind
+    model = {"model": {"kind": "kinetic", "d": 2}}
+    for scenario, field in (("kinetic_bismut", "model: "), ("galerkin_wave", "model.kind: ")):
+        errors = validate_config({**model, "experiment": {"scenario": scenario, "seed": 1}})
+        assert len(errors) == 1 and errors[0].startswith(field)
+
+
 def test_shipped_configs_validate():
     for path in CONFIG_DIR.glob("*.yaml"):
         if path.name == "missing_seed.yaml":

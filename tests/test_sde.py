@@ -9,13 +9,21 @@ import pytest
 
 from conftest import assert_within_se
 from degenflow.errors import CoverageError, NonOsgoodWarning
-from degenflow.linear_flow import sample_linear, transition_law
-from degenflow.model import build_drift, build_example
+from degenflow.linear_flow import _step_kernels, sample_linear, transition_law
+from degenflow.model import SpectralModel, _expm, build_drift, build_example
 from degenflow.regularization import FunctionField, GridSpec, picard_solve
 from degenflow.sde import (bihari_bound, coarsen_noise, cutoff_drift,
                            dissipation_envelope, integrate_ensemble,
-                           integrate_mild, make_noise, representation_residual,
-                           uniqueness_experiment)
+                           integrate_mild, make_noise, noise_from_bundle,
+                           representation_residual, uniqueness_experiment)
+from degenflow.streams import substream
+
+
+def _skewed_model():
+    """m = 1, d = 2 with a non-symmetric A2 and a time-dependent 2x2 sigma."""
+    return SpectralModel(
+        m=1, d=2, A1=[[0.0]], A2=[[-1.0, 0.5], [-0.3, -0.8]], B=[[1.0, 0.5]],
+        A0=[[0.0]], sigma=lambda t: [[1.0 + 0.5 * t, 0.2], [0.0, 0.8]])
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +99,37 @@ def test_coarsen_noise_exact_for_linear_flow(kinetic):
                                    atol=1e-13)
 
 
+def test_make_noise_matches_per_step_draws(kinetic):
+    for model in (kinetic, _skewed_model()):
+        for n_paths in (1, 3):
+            rec = make_noise(model, 1.0, 40, n_paths, seed=8, stream=("t", "rec"),
+                             s=0.25)
+            rng = substream(8, "t", "rec")
+            draws = [ker.draw(rng, n_paths)
+                     for ker in _step_kernels(model, 0.25, 1.0, 40)]
+            np.testing.assert_array_equal(rec.times, np.linspace(0.25, 1.0, 41))
+            np.testing.assert_array_equal(rec.dW, np.stack([d[0] for d in draws], axis=1))
+            np.testing.assert_array_equal(rec.eta, np.stack([d[1] for d in draws], axis=1))
+
+
+def test_record_helpers_match_stepwise_loops(kinetic):
+    for model in (kinetic, _skewed_model()):
+        E = _step_kernels(model, 0.0, 1.0, 32)[0].E
+        rec = make_noise(model, 1.0, 32, 3, seed=9)
+        cn = coarsen_noise(model, rec, 4)
+        for g in range(8):
+            acc = rec.eta[:, 4 * g, :]
+            for j in range(1, 4):
+                acc = acc @ E.T + rec.eta[:, 4 * g + j, :]
+            np.testing.assert_array_equal(cn.eta[:, g, :], acc)
+        np.testing.assert_array_equal(cn.dW, rec.dW.reshape(3, 8, 4, -1).sum(axis=2))
+    bundle = sample_linear(kinetic, 0.0, 1.0, [0.3, -0.2], 3, 16, seed=5)
+    E = _step_kernels(kinetic, 0.0, 1.0, 16)[0].E
+    Z = bundle.Z
+    expected = np.stack([Z[:, i + 1, :] - Z[:, i, :] @ E.T for i in range(16)], axis=1)
+    np.testing.assert_array_equal(noise_from_bundle(kinetic, bundle).eta, expected)
+
+
 def test_noise_record_on_another_grid_rejected(kinetic):
     b = build_drift("zero", 1, 1)
     late = make_noise(kinetic, 1.0, 16, 2, seed=3, s=0.5)
@@ -149,6 +188,27 @@ def test_zero_perturbation_gap_exactly_zero(kinetic):
     assert np.all(table.gaps() == 0.0)
 
 
+def test_stacked_uniqueness_rows_equal_single_runs(kinetic):
+    b = build_drift("rough_d1", 1, 1)
+    z0 = np.array([0.3, 0.4])
+    direction = np.ones(2) / math.sqrt(2.0)
+    for p in (1e-3, 0.0):
+        table = uniqueness_experiment(kinetic, b, z0, p, 1.0, [128, 256], seed=2)
+        for n, row in zip((128, 256), table.rows):
+            noise = make_noise(kinetic, 1.0, n, 1, 2,
+                               stream=("sde", "uniqueness", str(n)))
+            starts = np.stack([z0, z0 + p * direction])
+            ens = integrate_ensemble(kinetic, b, starts, 1.0, n, noise=noise,
+                                     n_paths=2)
+            single = [integrate_ensemble(kinetic, b, z, 1.0, n, noise=noise).Z[0]
+                      for z in starts]
+            np.testing.assert_array_equal(ens.Z[0], single[0])
+            np.testing.assert_array_equal(ens.Z[1], single[1])
+            gap = np.linalg.norm(single[0] - single[1], axis=-1)
+            assert row.sup_gap == float(np.max(gap))
+            assert row.gap_at_T == float(gap[-1])
+
+
 def test_lipschitz_gap_within_gronwall_envelope(kinetic):
     b = build_drift("dissipative", 1, 1)
     # drift Lipschitz constant in z: |grad b| <= sqrt(2) on the relevant box
@@ -201,6 +261,52 @@ def test_representation_residual_constant_drift_order(kinetic):
     # empirical order >= 0.5 means ratios >= sqrt(2); trapezoid gives ~4
     assert residuals[0] / residuals[1] >= math.sqrt(2.0)
     assert residuals[1] / residuals[2] >= math.sqrt(2.0)
+
+
+def _stepwise_residual(model, traj, field, lam):
+    """The representation residual by the plain per-step recursion."""
+    times, N, m, d = traj.times, traj.n_steps, model.m, model.d
+    h = float(times[1] - times[0])
+    E2 = _expm(model.A2 * h)
+    uvals = field.interp_many(times, traj.Z)
+    jacs = field.jacobian_y_many(times[:-1], traj.Z[:-1])
+    q = uvals @ (lam * np.eye(d) - model.A2).T
+    sig_dw = np.array([model.sigma_at(float(times[i])) @ traj.dW[i] for i in range(N)])
+    grad_term = np.einsum("iaj,ij->ia", jacs, sig_dw)
+    Y = traj.Y
+    residual = np.zeros(N + 1)
+    leb, sto = np.zeros(d), np.zeros(d)
+    etY0, etu0 = Y[0].copy(), uvals[0].copy()
+    for k in range(1, N + 1):
+        leb = leb @ E2.T + 0.5 * h * (q[k - 1] @ E2.T + q[k])
+        sto = sto @ E2.T + traj.eta[k - 1, m:] + grad_term[k - 1] @ E2.T
+        etY0 = etY0 @ E2.T
+        etu0 = etu0 @ E2.T
+        residual[k] = np.linalg.norm(Y[k] - (etY0 + etu0 - uvals[k] + leb + sto))
+    return residual
+
+
+def test_residual_matches_stepwise_recursion():
+    second, b_second = build_example("second_order", d=2)
+    cases = [(build_example("kinetic", d=1)[0], build_drift("dissipative", 1, 1)),
+             (second, b_second),
+             (_skewed_model(), build_drift("zero", 1, 2))]
+    for model, b in cases:
+        d = model.d
+        # a smooth field with a y-Jacobian that mixes the components
+        mix = np.arange(1.0, d * d + 1.0).reshape(d, d) / (d * d)
+        u_fn = lambda ts, pts, mix=mix, m=model.m: (
+            (1.0 - ts)[:, None] * np.sin(pts[:, m:] @ mix.T + pts[:, :1]))
+        jac_fn = lambda ts, pts, mix=mix, m=model.m: (
+            (1.0 - ts)[:, None, None]
+            * np.cos(pts[:, m:] @ mix.T + pts[:, :1])[:, :, None] * mix[None])
+        field = FunctionField(u_fn, model.m, d, jac_fn=jac_fn)
+        traj = integrate_mild(model, b, np.full(model.dim, 0.2), 1.0, 200, noise=4)
+        rep = representation_residual(model, b, traj, field, 16.0)
+        expected = _stepwise_residual(model, traj, field, 16.0)
+        assert rep.per_time[0] == 0.0
+        assert np.max(expected) > 1e-3  # the field is not a solution: O(1) residual
+        np.testing.assert_allclose(rep.per_time, expected, rtol=0.0, atol=1e-12)
 
 
 def test_representation_coverage_error(kinetic):
