@@ -80,14 +80,16 @@ def validate_config(raw: dict) -> list:
             if key not in ("scenario", "seed") and key not in info.knobs:
                 errors.append(f"experiment.{key}: unknown knob for scenario "
                               f"{scenario!r}; known: {', '.join(info.knobs) or 'none'}")
-        for section in ("model", "drift"):
-            if section in raw and section not in info.sections:
-                errors.append(f"{section}: scenario {scenario!r} fixes its own "
-                              f"{section} and does not read this section")
-        if "model" in raw and "model" in info.sections:
+        if "drift" in raw:
+            errors.append(f"drift: scenario {scenario!r} fixes its own drift "
+                          "and does not read this section")
+        if "model" in raw:
             model = raw["model"]
-            kind = model.get("kind", info.model_kind) if isinstance(model, dict) else None
-            if kind != info.model_kind:
+            kind = model.get("kind", info.model_kind) if isinstance(model, dict) else model
+            if info.model_kind is None:
+                errors.append(f"model: scenario {scenario!r} fixes its own model "
+                              "and does not read this section")
+            elif kind != info.model_kind:
                 errors.append(f"model.kind: scenario {scenario!r} builds a "
                               f"{info.model_kind!r} model, got {kind!r}")
     if "seed" not in exp:

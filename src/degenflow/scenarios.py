@@ -62,16 +62,14 @@ ANCHORS = {
 @dataclass(frozen=True)
 class ScenarioInfo:
     """A catalog entry; ``knobs`` names every experiment key the runner reads
-    besides scenario and seed, and ``sections`` the optional config sections
-    ("model", "drift") it reads, a model section only of kind ``model_kind``
-    (validation rejects any other)."""
+    besides scenario and seed, and ``model_kind`` the kind of model section
+    it reads, if any (validation rejects any other key or section)."""
 
     name: str
     description: str
     anchor: str
     runner: Callable
     knobs: Tuple[str, ...] = ()
-    sections: Tuple[str, ...] = ()
     model_kind: Optional[str] = None
 
 
@@ -350,7 +348,7 @@ SCENARIOS = {
         "galerkin_wave",
         "truncation-gap decay of the fixed-point field for the wave system",
         "galerkin-gap-decay", _run_galerkin_wave,
-        ("n_reference", "amplitude", "lam"), sections=("model",), model_kind="wave"),
+        ("n_reference", "amplitude", "lam"), model_kind="wave"),
     "uniqueness_rough": ScenarioInfo(
         "uniqueness_rough",
         "common-noise gap tables for the rough drift across perturbations "

@@ -95,8 +95,11 @@ class NoiseRecord:
 def _step_flow(model: SpectralModel, s: float, t: float, n_steps: int):
     """(E, J inj) of one step of the uniform grid on [s, t].
 
-    Neither depends on sigma or on the step, so one kernel serves every step
-    of the integrator and of the record helpers alike.
+    Both are mathematically independent of sigma and of the step; they are
+    taken from the kernel at s, which serves every step of the integrator and
+    of the record helpers alike.  For a callable sigma that kernel's Van Loan
+    exponential sees sigma(s) only, so E may differ in the last bits from the
+    E of the kernel at a later step.
     """
     ker = step_kernel(model, s, (t - s) / n_steps)
     return ker.E, ker.J @ model.injection()
@@ -107,33 +110,19 @@ def make_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
                s: float = 0.0) -> NoiseRecord:
     """Record of ``n_paths`` x ``n_steps`` exact step draws on [s, T].
 
-    One normal draw fills the whole record in the order of successive
-    ``StepKernel.draw`` calls (per step: the increments, then the
-    conditional normals), and each step's convolution is the same product
-    as in ``draw``, so the record equals the per-step draws exactly.  The
-    arrays are step-major in memory (path-major views), and the
-    convolutions overwrite the conditional normals a block of steps at a
-    time, so the record needs no memory beyond the draw.
+    One ``StepKernel.draw`` per step, so a record is the same stream and the
+    same bits as stepping the linear flow.  The arrays are step-major in
+    memory (path-major views), so one step's slice across paths is
+    contiguous.
     """
     rng = substream(seed, *stream)
     kers = _step_kernels(model, s, T, n_steps)
-    times = np.linspace(s, T, n_steps + 1)
-    k, dim = kers[0].k, model.dim
-    if model.sigma_constant:
-        K = np.broadcast_to(kers[0].Kmat.T, (n_steps, k, dim))
-        L = np.broadcast_to(kers[0].L.T, (n_steps, dim, dim))
-    else:
-        K = np.stack([ker.Kmat for ker in kers]).transpose(0, 2, 1)
-        L = np.stack([ker.L for ker in kers]).transpose(0, 2, 1)
-    raw = rng.standard_normal((n_steps, n_paths * (k + dim)))
-    dW = raw[:, : n_paths * k].reshape(n_steps, n_paths, k)
-    dW *= math.sqrt(kers[0].h)
-    xi = raw[:, n_paths * k:].reshape(n_steps, n_paths, dim)
-    for a in range(0, n_steps, 64):
-        blk = slice(a, a + 64)
-        xi[blk] = dW[blk] @ K[blk] + xi[blk] @ L[blk]
-    return NoiseRecord(times=times, dW=dW.transpose(1, 0, 2),
-                       eta=xi.transpose(1, 0, 2))
+    dW = np.empty((n_steps, n_paths, kers[0].k))
+    eta = np.empty((n_steps, n_paths, model.dim))
+    for i, ker in enumerate(kers):
+        dW[i], eta[i] = ker.draw(rng, n_paths)
+    return NoiseRecord(times=np.linspace(s, T, n_steps + 1),
+                       dW=dW.transpose(1, 0, 2), eta=eta.transpose(1, 0, 2))
 
 
 def noise_from_bundle(model: SpectralModel, bundle: PathBundle) -> NoiseRecord:
@@ -469,8 +458,7 @@ def representation_residual(model: SpectralModel, b: DriftSpec,
     uvals = field.interp_many(times, Zt)                      # (N+1, d)
     jacs = field.jacobian_y_many(times[:-1], Zt[:-1])         # (N, d, d)
     q = uvals @ (lam * np.eye(d) - A2).T                      # (N+1, d)
-    sig = (model.sigma if model.sigma_constant
-           else np.stack([model.sigma_at(float(t)) for t in times[:-1]]))
+    sig = np.stack([model.sigma_at(t) for t in times[:-1].tolist()])
     grad_term = (jacs @ (sig @ trajectory.dW[..., None]))[..., 0]   # (N, d)
 
     # every term of the right-hand side but -u_k propagates through E2 per
