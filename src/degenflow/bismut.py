@@ -25,14 +25,19 @@ The time derivative inside Phi is expanded analytically:
     d/dr{(r-s)(T-r) B* e^{(r-s)A0*}}
       = (T+s-2r) B* e^{(r-s)A0*} + (r-s)(T-r) B* A0* e^{(r-s)A0*}.
 
+Q_t and the integral in V are polynomial-weighted convolutions of matrix
+exponentials, so each is one block exponential (Van Loan's construction,
+linear_flow._block_expm) rather than a quadrature.
+
 The weight is discretized as the left-point Ito sum S = sum <h(r_i), dW_i>
 on a uniform grid.  Both Z_T = E^N z + sum E^{N-1-i} eta_i and S are linear
 in the same Gaussian increments, so (Z_T, S) is exactly jointly Gaussian.
-Its mean and covariance compose the exact step kernels (Van Loan's
-augmented exponential) in O(N) small-matrix operations, and the estimators
-draw each path's terminal state and weights from that law directly instead
-of stepping it through N kernels; time-dependent sigma keeps its left-point
-kernels, so the law is that of the stepped paths exactly.
+Its mean and covariance are closed-form sums over the powers of the step
+exponential E and the exact step kernels (one contraction per moment, no
+loop over steps), and the estimators draw each path's terminal state and
+weights from that law directly instead of stepping it through N kernels;
+time-dependent sigma keeps its left-point kernels, so the law is that of
+the stepped paths exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AccuracyWarning, HypothesisViolationError, SingularGramianError
-from .linear_flow import _step_kernels, psd_sqrt
+from .linear_flow import _block_expm, _step_kernels, psd_sqrt
 from .model import SpectralModel, _expm
 from .streams import substream
 
@@ -83,20 +88,26 @@ class GramianResult:
 
 
 def _gramian_matrix(model: SpectralModel, t: float) -> np.ndarray:
-    BBt = model.B @ model.B.T
+    """Q_t from one exponential of the chain -A0, -A0, -A0, A0* (couplings
+    I, I, B B*).
 
-    def integrand(u):
-        E = _expm(u * model.A0)
-        return u * (t - u) * E @ BBt @ E.T
-
-    Q, _ = integrate.quad_vec(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-12)
+    With K(r) = e^{rA0} B B* e^{rA0*}, blocks (2, 4) and (1, 4) left-multiplied
+    by e^{tA0} are W1 = int_0^t (t-r) K(r) dr and W2 = int_0^t (t-r)^2/2 K(r) dr,
+    and r (t-r) = t (t-r) - (t-r)^2 gives Q_t = t W1 - 2 W2.
+    """
+    m, A0 = model.m, model.A0
+    I = np.eye(m)
+    F = _block_expm([-A0, -A0, -A0, A0.T], [I, I, model.B @ model.B.T], t)
+    EA0 = F[3 * m:, 3 * m:].T
+    Q = t * (EA0 @ F[m:2 * m, 3 * m:]) - 2.0 * (EA0 @ F[:m, 3 * m:])
     return (Q + Q.T) / 2.0
 
 
 def gramian_Q(model: SpectralModel, t: float,
               sweep: Sequence[float] = tuple(2.0 ** (-j) for j in range(6, -1, -1))
               ) -> GramianResult:
-    """Q_t by adaptive quadrature, its inverse, and the t^3 inverse-norm sweep.
+    """Q_t in closed form (one block exponential), its inverse, and the t^3
+    inverse-norm sweep.
 
     bound_check = sup over the dyadic sweep of ||Q_t^{-1}|| t^3 (bounded for
     an invertible B B*; equals 6 exactly in the scalar A0 = 0, B = 1 case).
@@ -211,10 +222,12 @@ def perturbation_controls(model: SpectralModel, s: float, T: float, v) -> Contro
     if sv[-1] <= 0 or sv[0] / sv[-1] > 1e14:
         raise SingularGramianError(f"Gramian over gap {T - s} numerically singular")
 
-    def v_integrand(r):
-        return (T - r) / (T - s) * (_expm((r - s) * model.A0) @ (model.B @ v2))
-
-    rhs = v1 + integrate.quad_vec(v_integrand, s, T, epsabs=1e-13, epsrel=1e-12)[0]
+    # int_s^T (T-r) e^{(r-s)A0} dr is block (1, 3) of the chain A0, 0, 0
+    # (couplings I, I)
+    m = model.m
+    F = _block_expm([model.A0, np.zeros((m, m)), np.zeros((m, m))],
+                    [np.eye(m), np.eye(m)], T - s)
+    rhs = v1 + F[:m, 2 * m:] @ (model.B @ v2) / (T - s)
     V = np.linalg.solve(Q, rhs)
     return ControlPair(V=V, s=s, T=T, v1=v1, v2=v2, model=model)
 
@@ -245,28 +258,46 @@ def _weight_table(ctrl: ControlPair, times: np.ndarray) -> np.ndarray:
     return np.atleast_2d(ctrl.weight_vector(times[:-1]))
 
 
+def _powers(E: np.ndarray, n: int) -> np.ndarray:
+    """E^0, ..., E^{n-1} stacked (n, k, k) by log-depth doubling: each pass
+    multiplies the stack so far by the next power E^{2^j}."""
+    pows = np.eye(E.shape[0])[None]
+    Ej = E
+    while pows.shape[0] < n:
+        pows = np.concatenate([pows, pows @ Ej])
+        Ej = Ej @ Ej
+    return pows[:n]
+
+
 def _joint_moments(model: SpectralModel, z, windows):
     """Exact mean and covariance of (Z_T, S_1, ..., S_J).
 
     windows is a sequence of (times, hvec) over consecutive uniform grids, hvec
-    (N_j, k) holding the left-point weights of S_j = sum_i <h_i, dW_i>.  The
-    moments propagate through the same step kernels that path stepping uses:
-    mean <- E mean, P <- E P E* + G, C <- E C, and column j of C gains
-    Cov(eta_i, dW_i) h_i = h K h_i.  Returns (mean, P, C = Cov(Z_T, S),
-    Var S); the S_j are uncorrelated, their increments being disjoint.
+    (N_j, k) holding the left-point weights of S_j = sum_i <h_i, dW_i>.  Each
+    window composes its N step kernels (one E, per-step G_i and K_i) in
+    closed form: mean <- E^N mean, P <- E^N P E^N* + sum E^{N-1-i} G_i
+    E^{N-1-i}*, C <- E^N C, and column j of C gains
+    sum E^{N-1-i} Cov(eta_i, dW_i) h_i = h sum E^{N-1-i} K_i h_i.  Returns
+    (mean, P, C = Cov(Z_T, S), Var S); the S_j are uncorrelated, their
+    increments being disjoint.
     """
     mean = np.asarray(z, dtype=float).reshape(model.dim)
     P = np.zeros((model.dim, model.dim))
     C = np.zeros((model.dim, len(windows)))
     var = np.empty(len(windows))
     for j, (times, hvec) in enumerate(windows):
-        kers = _step_kernels(model, times[0], times[-1], times.size - 1)
-        for ker, hi in zip(kers, hvec):
-            mean = ker.E @ mean
-            P = ker.E @ P @ ker.E.T + ker.G
-            C = ker.E @ C
-            C[:, j] += ker.h * (ker.Kmat @ hi)
-        var[j] = kers[0].h * float(np.sum(hvec ** 2))
+        n = times.size - 1
+        kers = _step_kernels(model, times[0], times[-1], n)
+        h = kers[0].h
+        pows = _powers(kers[0].E, n + 1)
+        EN, R = pows[n], pows[n - 1::-1]
+        RG = R @ np.array([ker.G for ker in kers])
+        RK = R @ np.array([ker.Kmat for ker in kers])
+        mean = EN @ mean
+        P = EN @ P @ EN.T + np.einsum("nab,ndb->ad", RG, R)
+        C = EN @ C
+        C[:, j] += h * np.einsum("nak,nk->a", RK, hvec)
+        var[j] = h * float(np.sum(hvec ** 2))
     return mean, P, C, var
 
 
@@ -274,12 +305,15 @@ def _joint_draw(model: SpectralModel, z, windows, rng: np.random.Generator,
                 n_paths: int):
     """Exact joint draw of (Z_T (n, dim), S (n, J)); see _joint_moments.
 
-    Z = mean + F zeta with F F* = P, and S given Z_T: S = A* zeta + L xi with
-    F A = Cov(Z_T, S) and L L* = diag(Var S) - A* A.  Every weight is linear
-    in the h_i, so scaling the direction by a power of two scales S exactly.
+    Z = mean + F zeta with F the Cholesky factor of P, and S given Z_T:
+    S = A* zeta + L xi with F A = Cov(Z_T, S) and L L* = diag(Var S) - A* A.
+    The Cholesky factor is continuous in P, so roundoff in the moments moves
+    the draws by roundoff, where an eigenvector factor of a P with repeated
+    eigenvalues can jump.  Every weight is linear in the h_i, so scaling the
+    direction by a power of two scales S exactly.
     """
     mean, P, C, var = _joint_moments(model, z, windows)
-    F = psd_sqrt(P)
+    F = np.linalg.cholesky(P)
     A = np.linalg.solve(F, C)
     L = psd_sqrt(np.diag(var) - A.T @ A)
     zeta = rng.standard_normal((n_paths, model.dim))

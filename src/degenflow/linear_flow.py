@@ -62,14 +62,28 @@ def psd_sqrt(S: np.ndarray, floor: float = -1e-8) -> np.ndarray:
     return U * np.sqrt(w)
 
 
+def _block_expm(diag: Sequence[np.ndarray], upper: Sequence[np.ndarray],
+                t: float) -> np.ndarray:
+    """expm(t M) for the block upper-bidiagonal M with diagonal blocks diag
+    and superdiagonal blocks upper (upper[i] couples diag[i] to diag[i+1]).
+
+    Van Loan's construction: block (i, j) of the exponential is the nested
+    integral of the chain diag[i], upper[i], ..., diag[j], so one call yields
+    convolutions of matrix exponentials with polynomial weights exactly.
+    """
+    edges = np.cumsum([0] + [D.shape[0] for D in diag])
+    M = np.zeros((edges[-1], edges[-1]))
+    for i, D in enumerate(diag):
+        M[edges[i]:edges[i + 1], edges[i]:edges[i + 1]] = D
+    for i, U in enumerate(upper):
+        M[edges[i]:edges[i + 1], edges[i + 1]:edges[i + 2]] = U
+    return expm(M * t)
+
+
 def _van_loan(A: np.ndarray, N: np.ndarray, h: float):
     """(e^{hA}, int_0^h e^{uA} N e^{uA^T} du) from one augmented exponential."""
     n = A.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A
-    M[:n, n:] = N
-    M[n:, n:] = -A.T
-    E = expm(M * h)
+    E = _block_expm([A, -A.T], [N], h)
     EA = E[:n, :n]
     G = E[:n, n:] @ EA.T
     return EA, (G + G.T) / 2.0
@@ -78,10 +92,7 @@ def _van_loan(A: np.ndarray, N: np.ndarray, h: float):
 def _integral_expm(A: np.ndarray, h: float) -> np.ndarray:
     """J(h) = int_0^h e^{uA} du via an augmented exponential."""
     n = A.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A
-    M[:n, n:] = np.eye(n)
-    return expm(M * h)[:n, n:]
+    return _block_expm([A, np.zeros((n, n))], [np.eye(n)], h)[:n, n:]
 
 
 # ---------------------------------------------------------------------------

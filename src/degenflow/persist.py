@@ -167,7 +167,8 @@ def load_trajectory(path) -> MildTrajectory:
 # -- CSV ----------------------------------------------------------------------
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Atomic CSV write with a header row; floats kept at full repr precision."""
+    """Atomic CSV write with a header row; floats (numpy float scalars
+    included) written as plain Python float reprs, at full precision."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
@@ -176,7 +177,8 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                                 for v in row])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -16,15 +16,18 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from conftest import assert_within_se
-from degenflow.bismut import (_joint_moments, _weight_table, bismut_gradient,
-                              bismut_hessian, gramian_Q, perturbation_controls,
-                              scaling_exponent, transported_direction,
-                              variance_bound_check, verify_coupling)
+from degenflow import bismut
+from degenflow.bismut import (_joint_draw, _joint_moments, _weight_table,
+                              bismut_gradient, bismut_hessian, gramian_Q,
+                              perturbation_controls, scaling_exponent,
+                              transported_direction, variance_bound_check,
+                              verify_coupling)
 from degenflow.errors import AccuracyWarning, SingularGramianError
-from degenflow.linear_flow import apply_P0, sample_linear
-from degenflow.model import SpectralModel, build_example
+from degenflow.linear_flow import _step_kernels, apply_P0, sample_linear
+from degenflow.model import SpectralModel, _expm, build_example
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +56,41 @@ def test_singular_gramian_raises():
         gramian_Q(model, 1.0)
 
 
+def _non_normal():
+    """m = d = 2 with a non-normal A0 (a Jordan-like shear) and a full B."""
+    return SpectralModel(m=2, d=2, A1=[[0.1, 0.0], [0.2, -0.3]],
+                         A2=[[-1.0, 0.5], [-0.3, -0.8]], B=[[1.0, 0.5], [0.0, 0.7]],
+                         A0=[[-0.5, 3.0], [0.0, -0.2]], sigma=np.eye(2))
+
+
+def _oracle_model(kind):
+    if kind == "non_normal":
+        return _non_normal()
+    return build_example(kind, d=2)[0]
+
+
+def _quad_gramian(model, t):
+    """Q_t by adaptive quadrature of u (t-u) e^{uA0} B B* e^{uA0*}."""
+    BBt = model.B @ model.B.T
+
+    def integrand(u):
+        E = _expm(u * model.A0)
+        return u * (t - u) * E @ BBt @ E.T
+
+    return integrate.quad_vec(integrand, 0.0, t, epsabs=0.0, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "second_order", "non_normal"])
+def test_gramian_matches_quadrature(kind):
+    model = _oracle_model(kind)
+    for t in (2.0 ** -6, 0.3, 1.0):
+        ref = _quad_gramian(model, t)
+        got = gramian_Q(model, t, sweep=(t,))
+        np.testing.assert_allclose(got.Q, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        assert got.sweep_ratio[0] * t ** -3 == pytest.approx(
+            1.0 / np.linalg.svd(ref, compute_uv=False)[-1], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Controls
 
@@ -66,6 +104,20 @@ def test_controls_closed_forms(kinetic):
     ctrl2 = perturbation_controls(kinetic, 0.0, 1.0, [1.0, 0.0])
     assert abs(ctrl2.V[0] - 6.0) < 1e-9
     np.testing.assert_allclose(ctrl2.phi(rs)[:, 0], 6.0 - 12.0 * rs, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "second_order", "non_normal"])
+def test_controls_match_quadrature(kind):
+    model = _oracle_model(kind)
+    v = np.array([0.7, -0.3, 0.4, 1.1])
+    for s_, T in ((0.0, 1.0), (0.3, 0.8)):
+        def v_integrand(r):
+            return (T - r) / (T - s_) * (_expm((r - s_) * model.A0) @ (model.B @ v[2:]))
+
+        rhs = v[:2] + integrate.quad_vec(v_integrand, s_, T, epsabs=0.0, epsrel=1e-13)[0]
+        ref = np.linalg.solve(_quad_gramian(model, T - s_), rhs)
+        got = perturbation_controls(model, s_, T, v).V
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_zero_direction_gives_zero_controls(kinetic):
@@ -184,6 +236,54 @@ def test_joint_moments_closed_forms(kinetic):
         ramp = ((1.0 - times[:-1]) ** 2 - (1.0 - times[1:]) ** 2) / 2.0
         np.testing.assert_allclose(C[:, j], [hi @ ramp, h * hi.sum()], rtol=0, atol=1e-12)
         assert abs(var[j] - h * float(hi @ hi)) <= 1e-12
+
+
+def _stepwise_moments(model, z, windows):
+    """The moment recursion one step kernel at a time."""
+    mean = np.asarray(z, dtype=float)
+    P = np.zeros((model.dim, model.dim))
+    C = np.zeros((model.dim, len(windows)))
+    for j, (times, hvec) in enumerate(windows):
+        for ker, hi in zip(_step_kernels(model, times[0], times[-1], times.size - 1), hvec):
+            mean = ker.E @ mean
+            P = ker.E @ P @ ker.E.T + ker.G
+            C = ker.E @ C
+            C[:, j] += ker.h * (ker.Kmat @ hi)
+    return mean, P, C
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "sigma_in_time"])
+@pytest.mark.parametrize("n_windows", [1, 2])
+def test_joint_moments_match_stepwise_loop(kind, n_windows, kinetic):
+    model = kinetic if kind == "kinetic" else _sigma_in_time()
+    z, v = [0.3, -0.7], [0.6, 0.8]
+    edges = np.linspace(0.2, 1.0, n_windows + 1)
+    windows = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        times = np.linspace(a, b, 1 + 96 // n_windows)
+        windows.append((times, _weight_table(perturbation_controls(model, a, b, v), times)))
+    mean, P, C, _ = _joint_moments(model, z, windows)
+    for got, ref in zip((mean, P, C), _stepwise_moments(model, z, windows)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+def test_joint_draw_continuous_in_the_moments(monkeypatch):
+    # second_order with d = 2 has two identical decoupled modes, so every
+    # eigenvalue of Cov(Z_T) is repeated: an eigenvector factor of it jumps
+    # under roundoff, a Cholesky factor moves by roundoff.
+    model, _ = build_example("second_order", d=2)
+    times = np.linspace(0.0, 1.0, 65)
+    windows = [(times, _weight_table(perturbation_controls(model, 0.0, 1.0, [1.0, 0.0, 0.5, 0.0]),
+                                     times))]
+    mean, P, C, var = _joint_moments(model, [0.1, 0.2, -0.3, 0.4], windows)
+    dP = 1e-16 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, 2.0, 0.0, 1.0],
+                           [-1.0, 0.0, 0.0, -1.0], [0.5, 1.0, -1.0, 1.0]])
+    draws = []
+    for cov in (P, P + dP):
+        monkeypatch.setattr(bismut, "_joint_moments", lambda *a, cov=cov: (mean, cov, C, var))
+        draws.append(_joint_draw(model, None, windows, np.random.default_rng(5), 200))
+    for a, b in zip(*draws):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def _sigma_in_time():

@@ -101,3 +101,14 @@ def test_write_csv_atomic_and_deterministic(tmp_path):
     assert path.read_bytes() == first
     leftovers = [p for p in path.parent.iterdir() if "tmp" in p.name]
     assert not leftovers
+
+
+def test_write_csv_numpy_floats_round_trip(tmp_path):
+    path = tmp_path / "np.csv"
+    vals = [np.float64(0.00390625), np.float64(1.0) / 3.0, np.float64(-2.5e-300)]
+    write_csv(path, ["a", "b", "c"], [vals, [1, "x", 2.5]])
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert [float(c) for c in rows[1]] == [float(v) for v in vals]
+    assert rows[1][0] == "0.00390625"
+    assert rows[2] == ["1", "x", "2.5"]

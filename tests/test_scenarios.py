@@ -1,5 +1,6 @@
 """End-to-end smoke runs of every cataloged scenario with light budgets."""
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,11 @@ def test_scenario_runs_and_cites_anchors(name, tmp_path, monkeypatch):
         assert line.startswith("["), f"summary line without anchor: {line}"
         anchor = line[1:line.index("]")]
         assert anchor in ANCHORS
-    assert (tmp_path / EXPECTED_FILES[name]).exists()
+    expected = tmp_path / EXPECTED_FILES[name]
+    assert expected.exists()
+    # every cell is a plain literal (no numpy scalar reprs)
+    with open(expected) as fh:
+        assert not [c for row in csv.reader(fh) for c in row if "np." in c]
     if name == "kinetic_bismut":
         assert (tmp_path / "paths.dgfb").exists()
     if name == "representation_residual":
