@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AccuracyWarning, HypothesisViolationError, SingularGramianError
 from .linear_flow import _block_expm, _step_kernels, psd_sqrt
@@ -189,6 +188,7 @@ class ControlPair:
         Returns (dX, dY) computed by quadrature of the Duhamel formulas; both
         vanish at t = T (terminal coincidence).
         """
+        from scipy import integrate
         s, T = self.s, self.T
         model = self.model
         dY = _expm((t - s) * model.A2) @ self.v2 - integrate.quad_vec(
@@ -444,6 +444,7 @@ def variance_bound_check(model: SpectralModel, s: float, T: float, v,
                          n_gaps: int = 7) -> VarianceBound:
     """sup over dyadic gaps of  int |sigma*(..)^{-1}Phi|^2 dr  divided by
     |v1|^2/gap^3 + |v2|^2/gap (the variance envelope of the weight)."""
+    from scipy import integrate
     if T <= s:
         raise ValueError("T must exceed s")
     v = np.asarray(v, dtype=float).reshape(model.dim)

@@ -17,7 +17,7 @@ re-running a config reproduces every number byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -51,11 +51,32 @@ class ScenarioConfig:
     def seed(self) -> int:
         return int(self.experiment["seed"])
 
-    def knob(self, name: str, default):
-        return self.experiment.get(name, default)
+    def knob(self, name: str):
+        """An experiment knob's value, or its catalog default, as the default's type."""
+        from .scenarios import SCENARIOS
+        default = SCENARIOS[self.scenario].knobs[name]
+        value = self.experiment.get(name, default)
+        if isinstance(default, list):
+            return [type(default[0])(v) for v in value]
+        return type(default)(value)
 
     def outdir(self) -> Path:
         return Path(self.output.get("dir", "degenflow-out"))
+
+
+def _knob_problem(value, default) -> Optional[str]:
+    """Why ``value`` cannot stand for a knob with this default, or None: an
+    int knob takes a positive int, a float knob any int or float, a list knob
+    a non-empty list of such items; nothing is truncated or parsed."""
+    if isinstance(default, list):
+        if type(value) is not list or not value:
+            return "must be a non-empty list"
+        problem = next(filter(None, (_knob_problem(v, default[0]) for v in value)), None)
+        return problem and f"each item {problem}"
+    # type(True) is bool, not int: a boolean is never a number here
+    if type(default) is int:
+        return None if type(value) is int and value > 0 else "must be a positive integer"
+    return None if type(value) in (int, float) else "must be a number"
 
 
 def validate_config(raw: dict) -> list:
@@ -76,8 +97,12 @@ def validate_config(raw: dict) -> list:
                       f"known: {', '.join(sorted(SCENARIOS))}")
     else:
         info = SCENARIOS[scenario]
-        for key in exp:
-            if key not in ("scenario", "seed") and key not in info.knobs:
+        for key, value in exp.items():
+            if key in info.knobs:
+                problem = _knob_problem(value, info.knobs[key])
+                if problem:
+                    errors.append(f"experiment.{key}: {problem}, got {value!r}")
+            elif key not in ("scenario", "seed"):
                 errors.append(f"experiment.{key}: unknown knob for scenario "
                               f"{scenario!r}; known: {', '.join(info.knobs) or 'none'}")
         if "drift" in raw:
@@ -94,24 +119,9 @@ def validate_config(raw: dict) -> list:
                               f"{info.model_kind!r} model, got {kind!r}")
     if "seed" not in exp:
         errors.append("experiment.seed: missing (no silent nondeterminism)")
-    else:
-        try:
-            int(exp["seed"])
-        except (TypeError, ValueError):
-            errors.append("experiment.seed: must be an integer")
-    for key, value in exp.items():
-        if key in ("scenario", "seed"):
-            continue
-        if any(key.endswith(sfx) for sfx in ("paths", "steps", "budget", "points")):
-            items = value if isinstance(value, (list, tuple)) else [value]
-            for item in items:
-                try:
-                    if int(item) <= 0:
-                        errors.append(f"experiment.{key}: must be positive")
-                        break
-                except (TypeError, ValueError):
-                    errors.append(f"experiment.{key}: must be a positive integer")
-                    break
+    elif type(exp["seed"]) is not int or exp["seed"] < 0:
+        errors.append(f"experiment.seed: must be a non-negative integer, "
+                      f"got {exp['seed']!r}")
     out = raw.get("output", {})
     if out and "dir" in out and not isinstance(out["dir"], str):
         errors.append("output.dir: must be a string path")

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import expm
 from scipy.special import zeta
 
@@ -152,6 +151,7 @@ def phi_squared_midpoint_concave(phi: Modulus, n: int = 64, tol: float = 1e-10) 
 
 def dini_integral(phi: Modulus, quad_floor: float) -> float:
     """Numerical integral of phi(s)/s over [quad_floor, 1]."""
+    from scipy import integrate
     val, _ = integrate.quad(lambda s: float(phi(np.array(s))) / s, quad_floor, 1.0,
                             limit=200)
     return float(val)
@@ -193,6 +193,8 @@ def _custom_d2_verdict(phi: Modulus, quad_floor: float) -> bool:
     shrinking set of cutoffs and checks that the per-decade increments do not
     decay geometrically (divergence means roughly constant increments).
     """
+    from scipy import integrate
+
     def inner(t):
         return 1.0 + dini_integral(phi, t)
 
@@ -407,14 +409,6 @@ class HypothesisReport:
                 return c
         raise KeyError(label)
 
-    def summary_lines(self):
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(f"{c.label}: {status}  measured={c.measured:.3e} "
-                         f"threshold={c.threshold:.1e}  {c.description}")
-        return lines
-
 
 def _min_sv(mat: np.ndarray) -> float:
     if mat.size == 0:
@@ -571,10 +565,6 @@ class DriftSpec:
         out = np.asarray(self.fn(t, x, y), dtype=float)
         want = y.shape if y.ndim else (self.d,)
         return np.broadcast_to(out, want).astype(float) if out.shape != want else out
-
-    def at_state(self, t, z):
-        z = np.asarray(z, dtype=float)
-        return self(t, z[..., : self.m], z[..., self.m:])
 
 
 def validate_drift_regularity(b: DriftSpec, ball_radius: float, n_samples: int,

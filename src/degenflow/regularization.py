@@ -436,11 +436,6 @@ class PicardReport:
         return float(np.median(valid)) if valid else 0.0
 
     @property
-    def max_factor(self) -> float:
-        valid = self.valid_factors
-        return float(max(valid)) if valid else 0.0
-
-    @property
     def valid_factors(self) -> tuple:
         floor = max(10.0 * self.tol, 1e-13)
         out = []

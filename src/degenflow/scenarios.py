@@ -10,9 +10,9 @@ lines.  Summary lines cite claims only through the fixed anchor table below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional
 
 import numpy as np
 
@@ -61,15 +61,16 @@ ANCHORS = {
 
 @dataclass(frozen=True)
 class ScenarioInfo:
-    """A catalog entry; ``knobs`` names every experiment key the runner reads
-    besides scenario and seed, and ``model_kind`` the kind of model section
-    it reads, if any (validation rejects any other key or section)."""
+    """A catalog entry; ``knobs`` maps every experiment key the runner reads
+    besides scenario and seed to its default, whose type a config value must
+    have, and ``model_kind`` names the kind of model section it reads, if any
+    (validation rejects any other key, value or section)."""
 
     name: str
     description: str
     anchor: str
     runner: Callable
-    knobs: Tuple[str, ...] = ()
+    knobs: Mapping[str, object] = field(default_factory=dict)
     model_kind: Optional[str] = None
 
 
@@ -85,8 +86,8 @@ def _anchor_line(anchor: str, text: str) -> str:
 
 def _run_kinetic_bismut(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     model, _ = build_example("kinetic", d=1)
-    n_paths = int(cfg.knob("n_paths", 20000))
-    n_steps = int(cfg.knob("n_steps", 256))
+    n_paths = cfg.knob("n_paths")
+    n_steps = cfg.knob("n_steps")
     seed = cfg.seed
     probes = [
         ("x", (0.0, 1.0), lambda z: z[:, 0], 1.0),   # d/dy E[X_T] = T
@@ -122,7 +123,7 @@ def _run_kinetic_bismut(cfg: ScenarioConfig, outdir: Path) -> List[str]:
 
 def _run_gradient_scaling(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     model, _ = build_example("kinetic", d=1)
-    budget = int(cfg.knob("budget", 240000))
+    budget = cfg.knob("budget")
     gaps = [2.0 ** (-j) for j in range(8, 2, -1)]
     seed = cfg.seed
     eps = 1e-7
@@ -162,7 +163,7 @@ def _run_picard_lambda_sweep(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     model, _ = build_example("kinetic", d=1)
     b = build_drift("tanh_steep", 1, 1, kappa=1e6)
     lambdas = [2.0 ** j for j in range(4, 11)]
-    base = int(cfg.knob("base_points", 192))
+    base = cfg.knob("base_points")
     rows = []
     last_report = None
     for lam in lambdas:
@@ -191,7 +192,7 @@ def _run_picard_lambda_sweep(cfg: ScenarioConfig, outdir: Path) -> List[str]:
 
 
 def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
-    n_ref = int(cfg.knob("n_reference", 12))
+    n_ref = cfg.knob("n_reference")
     section = cfg.model_section
     section.pop("kind", None)
     section.setdefault("theta", 1.0)
@@ -199,7 +200,7 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     section.setdefault("n", n_ref)
     model, _ = build_example("wave", **section)
     n_ref = min(n_ref, model.d)
-    amp = float(cfg.knob("amplitude", 1.0))
+    amp = cfg.knob("amplitude")
 
     def mode_drift(i):
         return lambda t, x, y: amp * np.tanh(x + y)
@@ -207,7 +208,7 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     drifts = [mode_drift(i) for i in range(n_ref)]
     grid = reg.GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), shape=(33, 33),
                         t_final=1.0, n_time=17)
-    report = reg.galerkin_compare(model, drifts, lam=float(cfg.knob("lam", 64.0)),
+    report = reg.galerkin_compare(model, drifts, lam=cfg.knob("lam"),
                                   levels=[2, 4, 8], grid2d=grid, seed=cfg.seed)
     write_csv(outdir / "galerkin.csv", ["level", "value_gap", "grad_gap"],
               [[n, v, g] for n, v, g in zip(report.levels, report.value_gaps,
@@ -223,10 +224,9 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
 def _run_uniqueness_rough(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     model, _ = build_example("kinetic", d=1)
     b = build_drift("rough_d1", 1, 1)
-    T = float(cfg.knob("t_final", 1.0))
-    steps = [int(v) for v in cfg.knob("steps", [256, 512, 1024])]
-    perturbations = [float(p) for p in cfg.knob("perturbations",
-                                                [1e-2, 1e-3, 1e-4, 0.0])]
+    T = cfg.knob("t_final")
+    steps = cfg.knob("steps")
+    perturbations = cfg.knob("perturbations")
     rows = []
     gap_at_T = {}
     for p in perturbations:
@@ -248,9 +248,9 @@ def _run_uniqueness_rough(cfg: ScenarioConfig, outdir: Path) -> List[str]:
 def _run_representation_residual(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     model, _ = build_example("kinetic", d=1)
     T = 1.0
-    lam = float(cfg.knob("lam", 64.0))
+    lam = cfg.knob("lam")
     steps = [2 ** j for j in range(7, 12)]
-    n_paths = int(cfg.knob("n_paths", 8))
+    n_paths = cfg.knob("n_paths")
     noise = sde.make_noise(model, T, steps[-1], n_paths, cfg.seed,
                            stream=("scenario", "residual"))
 
@@ -261,10 +261,21 @@ def _run_representation_residual(cfg: ScenarioConfig, outdir: Path) -> List[str]
                                 jac_fn=lambda ts, pts: np.zeros((pts.shape[0], 1, 1)))
 
     b_rough = build_drift("rough_y", 1, 1)
-    ny = int(cfg.knob("rough_gridpoints", 1025))
-    nt = int(cfg.knob("rough_timenodes", 129))
-    grid = reg.GridSpec(lo=(-6.0, -6.0), hi=(6.0, 6.0), shape=(3, ny),
-                        t_final=T, n_time=nt)
+    # the paths do not depend on the field: integrate them first
+    records = [sde.coarsen_noise(model, noise, steps[-1] // n) for n in steps]
+    ensembles = {name: [sde.integrate_ensemble(model, b, [0.2, 0.1], T, n, noise=cn)
+                        for n, cn in zip(steps, records)]
+                 for name, b in (("constant", b_const), ("rough", b_rough))}
+
+    # the field box is [-6, 6]^2, widened in y at the same spacing when the
+    # rough paths come within 3 cells of its edge
+    ny = cfg.knob("rough_gridpoints")
+    dy = 12.0 / (ny - 1)
+    y_sup = max(float(np.max(np.abs(ens.Y))) for ens in ensembles["rough"])
+    extra = max(0, math.ceil((y_sup + 3.0 * dy - 6.0) / dy))
+    y_half = 6.0 + extra * dy
+    grid = reg.GridSpec(lo=(-6.0, -y_half), hi=(6.0, y_half), shape=(3, ny + 2 * extra),
+                        t_final=T, n_time=cfg.knob("rough_timenodes"))
     f_rough, _ = reg.picard_solve(model, b_rough, lam, grid, tol=1e-9,
                                   max_iter=60)
 
@@ -273,9 +284,7 @@ def _run_representation_residual(cfg: ScenarioConfig, outdir: Path) -> List[str]
     for name, b, fld in (("constant", b_const, f_const),
                          ("rough", b_rough, f_rough)):
         prev = None
-        for n in steps:
-            cn = sde.coarsen_noise(model, noise, steps[-1] // n)
-            ens = sde.integrate_ensemble(model, b, [0.2, 0.1], T, n, noise=cn)
+        for n, ens in zip(steps, ensembles[name]):
             res = float(np.mean([
                 sde.representation_residual(model, b, ens.path(p), fld, lam).max_residual
                 for p in range(n_paths)]))
@@ -289,18 +298,16 @@ def _run_representation_residual(cfg: ScenarioConfig, outdir: Path) -> List[str]
     write_csv(outdir / "residuals.csv",
               ["scenario", "n_steps", "mean_max_residual", "ratio_vs_prev"], rows)
     save_field(f_rough, outdir / "rough_field.dgfb")
-    cn = sde.coarsen_noise(model, noise, steps[-1] // steps[0])
-    one = sde.integrate_ensemble(model, b_rough, [0.2, 0.1], T, steps[0], noise=cn)
-    save_trajectory(one.path(0), outdir / "rough_trajectory.dgfb")
+    save_trajectory(ensembles["rough"][0].path(0), outdir / "rough_trajectory.dgfb")
     return lines
 
 
 def _run_bihari_envelope(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     model, _ = build_example("kinetic", d=1)
     b = build_drift("dissipative", 1, 1)
-    T = float(cfg.knob("t_final", 2.0))
-    n_paths = int(cfg.knob("n_paths", 1000))
-    n_steps = int(cfg.knob("n_steps", 512))
+    T = cfg.knob("t_final")
+    n_paths = cfg.knob("n_paths")
+    n_steps = cfg.knob("n_steps")
     rep = sde.dissipation_envelope(model, b, [0.5, 1.0], T, n_steps, n_paths,
                                    seed=cfg.seed)
     # one illustrative curve (the path with the largest measured eta)
@@ -327,13 +334,13 @@ SCENARIOS = {
         "Monte-Carlo derivative probes on the kinetic scalar flow vs analytic "
         "Gaussian derivatives, plus the coupling/Girsanov check",
         "bismut-gradient-identity", _run_kinetic_bismut,
-        ("n_paths", "n_steps")),
+        {"n_paths": 20000, "n_steps": 256}),
     "gradient_scaling": ScenarioInfo(
         "gradient_scaling",
         "fitted gap-exponents of the semigroup gradient sup-norms in both "
         "direction classes",
         "gradient-x-exponent", _run_gradient_scaling,
-        ("budget",)),
+        {"budget": 240000}),
     "gramian_sweep": ScenarioInfo(
         "gramian_sweep",
         "dyadic sweep of the inverse-Gramian cubic scaling",
@@ -343,29 +350,31 @@ SCENARIOS = {
         "fixed-point solves along a doubling discount sweep with norm decay "
         "and contraction factors",
         "field-norm-sqrt-decay", _run_picard_lambda_sweep,
-        ("base_points",)),
+        {"base_points": 192}),
     "galerkin_wave": ScenarioInfo(
         "galerkin_wave",
         "truncation-gap decay of the fixed-point field for the wave system",
         "galerkin-gap-decay", _run_galerkin_wave,
-        ("n_reference", "amplitude", "lam"), model_kind="wave"),
+        {"n_reference": 12, "amplitude": 1.0, "lam": 64.0}, model_kind="wave"),
     "uniqueness_rough": ScenarioInfo(
         "uniqueness_rough",
         "common-noise gap tables for the rough drift across perturbations "
         "and step counts",
         "uniqueness-common-noise", _run_uniqueness_rough,
-        ("t_final", "steps", "perturbations")),
+        {"t_final": 1.0, "steps": [256, 512, 1024],
+         "perturbations": [1e-2, 1e-3, 1e-4, 0.0]}),
     "representation_residual": ScenarioInfo(
         "representation_residual",
         "residual decay of the field representation identity under step "
         "refinement (constant and rough drifts)",
         "representation-identity", _run_representation_residual,
-        ("lam", "n_paths", "rough_gridpoints", "rough_timenodes")),
+        {"lam": 64.0, "n_paths": 8, "rough_gridpoints": 1025,
+         "rough_timenodes": 129}),
     "bihari_envelope": ScenarioInfo(
         "bihari_envelope",
         "pathwise nonlinear-Gronwall envelope check for the dissipative drift",
         "bihari-envelope", _run_bihari_envelope,
-        ("t_final", "n_paths", "n_steps")),
+        {"t_final": 2.0, "n_paths": 1000, "n_steps": 512}),
 }
 
 

@@ -3,12 +3,15 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 import yaml
 
+import degenflow
 from degenflow.cli import main
 from degenflow.config import load_config, validate_config
 from degenflow import scenarios
@@ -46,6 +49,27 @@ def test_negative_budget_rejected():
     errors = validate_config({"experiment": {"scenario": "gramian_sweep",
                                              "seed": 1, "n_paths": -5}})
     assert any("experiment.n_paths" in e for e in errors)
+
+
+@pytest.mark.parametrize("scenario,key,value", [
+    ("kinetic_bismut", "n_paths", 2.7),
+    ("gramian_sweep", "seed", 2.7),
+    ("gramian_sweep", "seed", True),
+    ("gramian_sweep", "seed", -1),
+    ("galerkin_wave", "n_reference", 2.7),
+    ("representation_residual", "rough_timenodes", 2.7),
+    ("bihari_envelope", "n_steps", True),
+    ("uniqueness_rough", "steps", [128, 2.5]),
+    ("uniqueness_rough", "perturbations", 0.01),
+    ("galerkin_wave", "lam", "64"),
+])
+def test_knob_value_of_wrong_type_rejected(tmp_path, scenario, key, value):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"experiment": {"scenario": scenario, "seed": 1,
+                                                  key: value}}))
+    code, _, err = _run_cli("validate", str(cfg))
+    assert code == 2
+    assert f"config error: experiment.{key}: " in err and "must be" in err
 
 
 def test_unknown_knob_rejected(tmp_path):
@@ -206,3 +230,21 @@ def test_kinetic_bismut_scenario_canonical_probe(tmp_path):
     value = float(probe["value"])
     stderr = float(probe["stderr"])
     assert abs(value - 1.0) <= 5.0 * stderr
+
+
+def test_scenario_box_widens_for_paths_that_leave_it(tmp_path):
+    # this seed drives a rough path to |Y| = 6.14, past the [-6, 6] box
+    cfg = tmp_path / "rr.yaml"
+    cfg.write_text(yaml.safe_dump({"experiment": {
+        "scenario": "representation_residual", "seed": 979526890,
+        "rough_gridpoints": 129, "rough_timenodes": 17}}))
+    code, _, err = _run_cli("run", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out" / "rough_field.dgfb").exists()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(degenflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, degenflow; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

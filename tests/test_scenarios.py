@@ -42,7 +42,7 @@ def test_scenario_runs_and_cites_anchors(name, tmp_path, monkeypatch):
     read = set()
     knob = ScenarioConfig.knob
     monkeypatch.setattr(ScenarioConfig, "knob",
-                        lambda self, key, default: read.add(key) or knob(self, key, default))
+                        lambda self, key: read.add(key) or knob(self, key))
     lines = run_scenario(cfg, tmp_path)
     # the runner reads exactly its declared knobs: validation rejects no
     # knob it honours and accepts none it ignores

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from conftest import assert_within_se
-from degenflow.errors import CoverageError, NonOsgoodWarning
+from degenflow.errors import CoverageError, IterationError, NonOsgoodWarning
 from degenflow.linear_flow import _step_kernels, sample_linear, transition_law
 from degenflow.model import SpectralModel, _expm, build_drift, build_example
 from degenflow.regularization import FunctionField, GridSpec, picard_solve
@@ -355,8 +356,55 @@ def test_non_osgood_warning():
                      1.0, 1.0, 2.0)
 
 
+def test_gamma_matches_closed_forms_on_both_sides_of_one():
+    C = 2.0
+    s = np.array([0.0, 1e-9, 0.3, 0.9, 1.0, 1.7, 5.0, 1e3, 1e8, 1e12])
+    # ell(s) = s: Gamma(s) = log((1+s)/2) / (2C)
+    bb = bihari_bound(lambda r: np.asarray(r, dtype=float), None, 1.0, 1.0, C)
+    np.testing.assert_allclose(bb.gamma(s), np.log1p(s) / (2 * C) - math.log(2) / (2 * C),
+                               rtol=1e-12, atol=1e-15)
+    # ell = 1 + s^2 is not Osgood; Gamma(s) = (atan(C(1+s)) - atan(2C)) / (2C)
+    with pytest.warns(NonOsgoodWarning):
+        bb = bihari_bound(lambda r: 1.0 + np.asarray(r, dtype=float) ** 2, None,
+                          1.0, 1.0, C)
+    exact = (np.arctan(C * (1.0 + s)) - math.atan(2.0 * C)) / (2.0 * C)
+    np.testing.assert_allclose(bb.gamma(s), exact, rtol=1e-12, atol=1e-15)
+    with pytest.raises(IterationError):
+        bb.curve(1.0)
+
+
+@pytest.mark.parametrize("ell", [
+    lambda s: np.asarray(s, dtype=float),
+    lambda s: 0.5 * (1.0 + np.asarray(s, dtype=float)),
+    lambda s: 1.0 + np.sqrt(np.asarray(s, dtype=float)),
+])
+def test_curve_inverts_gamma(ell):
+    bb = bihari_bound(ell, None, 3.0, 2.0, 1.7)
+    ts = np.linspace(0.0, 2.0, 33)
+    curve = bb.curve(ts)
+    assert np.all(np.diff(curve) > 0.0)
+    np.testing.assert_allclose(bb.gamma(curve) - bb.gamma(3.0), ts, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Dissipation envelope
+
+
+def _gamma_quad(ell, C, s):
+    return integrate.quad(lambda r: 1.0 / (2.0 * float(ell(C + C * r))), 1.0, s,
+                          epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+def test_envelope_margins_match_quadrature(kinetic):
+    # a small ell puts the least margin of paths 1, 2, 3 and 5 after t = 0
+    b = replace(build_drift("dissipative", 1, 1),
+                ell=lambda s: 0.02 * (1.0 + np.asarray(s, dtype=float)))
+    rep = dissipation_envelope(kinetic, b, [0.5, 1.0], 2.0, 64, 40, seed=21)
+    for p in (0, 1, 2, 3, 5):
+        C = float(rep.C_env[p])
+        g_eta = _gamma_quad(b.ell, C, float(rep.eta_T[p]))
+        gvals = np.array([_gamma_quad(b.ell, C, float(v)) for v in rep.sup_tilde_sq[p]])
+        assert abs(rep.margins[p] - np.min(g_eta + rep.times - gvals)) <= 1e-10
 
 
 def test_dissipative_paths_below_envelope(kinetic):
