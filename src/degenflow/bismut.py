@@ -86,20 +86,30 @@ class GramianResult:
     sweep_ratio: np.ndarray
 
 
-def _gramian_matrix(model: SpectralModel, t: float) -> np.ndarray:
-    """Q_t from one exponential of the chain -A0, -A0, -A0, A0* (couplings
-    I, I, B B*).
+def _gramian_blocks(model: SpectralModel, t: float):
+    """(Q_t, W0, W1) from one exponential of the chain -A0, -A0, -A0, A0*
+    (couplings I, I, B B*).
 
-    With K(r) = e^{rA0} B B* e^{rA0*}, blocks (2, 4) and (1, 4) left-multiplied
-    by e^{tA0} are W1 = int_0^t (t-r) K(r) dr and W2 = int_0^t (t-r)^2/2 K(r) dr,
-    and r (t-r) = t (t-r) - (t-r)^2 gives Q_t = t W1 - 2 W2.
+    With K(r) = e^{rA0} B B* e^{rA0*}, blocks (3, 4), (2, 4) and (1, 4)
+    left-multiplied by e^{tA0} are W0 = int_0^t K(r) dr,
+    W1 = int_0^t (t-r) K(r) dr and W2 = int_0^t (t-r)^2/2 K(r) dr, and
+    r (t-r) = t (t-r) - (t-r)^2 gives Q_t = t W1 - 2 W2.
     """
     m, A0 = model.m, model.A0
     I = np.eye(m)
     F = _block_expm([-A0, -A0, -A0, A0.T], [I, I, model.B @ model.B.T], t)
     EA0 = F[3 * m:, 3 * m:].T
-    Q = t * (EA0 @ F[m:2 * m, 3 * m:]) - 2.0 * (EA0 @ F[:m, 3 * m:])
-    return (Q + Q.T) / 2.0
+    W1 = EA0 @ F[m:2 * m, 3 * m:]
+    Q = t * W1 - 2.0 * (EA0 @ F[:m, 3 * m:])
+    return (Q + Q.T) / 2.0, EA0 @ F[2 * m:3 * m, 3 * m:], W1
+
+
+def _ramp_integrals(A0: np.ndarray, t: float):
+    """(int_0^t e^{rA0} dr, int_0^t (t-r) e^{rA0} dr): blocks (1, 2) and
+    (1, 3) of one exponential of the chain A0, 0, 0 (couplings I, I)."""
+    m = A0.shape[0]
+    F = _block_expm([A0, np.zeros((m, m)), np.zeros((m, m))], [np.eye(m), np.eye(m)], t)
+    return F[:m, m:2 * m], F[:m, 2 * m:]
 
 
 def gramian_Q(model: SpectralModel, t: float,
@@ -113,7 +123,7 @@ def gramian_Q(model: SpectralModel, t: float,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    Q = _gramian_matrix(model, t)
+    Q = _gramian_blocks(model, t)[0]
     svals = np.linalg.svd(Q, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     if not math.isfinite(cond) or cond > 1e14:
@@ -123,7 +133,7 @@ def gramian_Q(model: SpectralModel, t: float,
     ts = np.asarray(list(sweep), dtype=float)
     ratios = []
     for tj in ts:
-        Qj = _gramian_matrix(model, float(tj))
+        Qj = _gramian_blocks(model, float(tj))[0]
         inv_norm = 1.0 / float(np.linalg.svd(Qj, compute_uv=False)[-1])
         ratios.append(inv_norm * tj ** 3)
     ratios = np.asarray(ratios)
@@ -185,25 +195,23 @@ class ControlPair:
     def coupled_difference(self, t: float):
         """Deterministic (per unit eps) coupled differences at time t.
 
-        Returns (dX, dY) computed by quadrature of the Duhamel formulas; both
-        vanish at t = T (terminal coincidence).
+        Returns (dX, dY) from the Duhamel formulas in closed form; both vanish
+        at t = T (terminal coincidence).  With w = t - s and tau = T - s, Phi
+        is e^{(r-s)A2} times a derivative, so
+        dY = e^{wA2} [(T-t)/tau v2 - w (T-t) B* e^{wA0*} V], and
+        dX = e^{wA1} (v1 + P B v2 / tau - R V) with
+        P = int_0^w (tau-r) e^{rA0} dr and R = int_0^w r (tau-r) K(r) dr
+          = (tau-w) (w W0 - W1) + Q_w  (see _gramian_blocks).
         """
-        from scipy import integrate
-        s, T = self.s, self.T
-        model = self.model
-        dY = _expm((t - s) * model.A2) @ self.v2 - integrate.quad_vec(
-            lambda r: _expm((t - r) * model.A2) @ self.phi(float(r)),
-            s, t, epsabs=1e-12, epsrel=1e-11)[0]
-        BBt = model.B @ model.B.T
-
-        def x_integrand(r):
-            EA0 = _expm((r - s) * model.A0)
-            EA0t = _expm((r - s) * model.A0.T)
-            return EA0 @ ((T - r) / (T - s) * (model.B @ self.v2)
-                          - (r - s) * (T - r) * (BBt @ (EA0t @ self.V)))
-
-        inner = integrate.quad_vec(x_integrand, s, t, epsabs=1e-12, epsrel=1e-11)[0]
-        dX = _expm((t - s) * model.A1) @ (self.v1 + inner)
+        model, s, T = self.model, self.s, self.T
+        w, tau = t - s, T - s
+        dY = _expm(w * model.A2) @ ((T - t) / tau * self.v2 - w * (T - t) * (
+            model.B.T @ (_expm(w * model.A0.T) @ self.V)))
+        J0, J1 = _ramp_integrals(model.A0, w)
+        Q, W0, W1 = _gramian_blocks(model, w)
+        P = (tau - w) * J0 + J1
+        R = (tau - w) * (w * W0 - W1) + Q
+        dX = _expm(w * model.A1) @ (self.v1 + P @ (model.B @ self.v2) / tau - R @ self.V)
         return dX, dY
 
     def terminal_gap(self) -> float:
@@ -217,17 +225,13 @@ def perturbation_controls(model: SpectralModel, s: float, T: float, v) -> Contro
         raise ValueError("T must exceed s")
     v = np.asarray(v, dtype=float).reshape(model.dim)
     v1, v2 = v[: model.m], v[model.m:]
-    Q = _gramian_matrix(model, T - s)
+    Q = _gramian_blocks(model, T - s)[0]
     sv = np.linalg.svd(Q, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > 1e14:
         raise SingularGramianError(f"Gramian over gap {T - s} numerically singular")
 
-    # int_s^T (T-r) e^{(r-s)A0} dr is block (1, 3) of the chain A0, 0, 0
-    # (couplings I, I)
-    m = model.m
-    F = _block_expm([model.A0, np.zeros((m, m)), np.zeros((m, m))],
-                    [np.eye(m), np.eye(m)], T - s)
-    rhs = v1 + F[:m, 2 * m:] @ (model.B @ v2) / (T - s)
+    # int_s^T (T-r) e^{(r-s)A0} dr
+    rhs = v1 + _ramp_integrals(model.A0, T - s)[1] @ (model.B @ v2) / (T - s)
     V = np.linalg.solve(Q, rhs)
     return ControlPair(V=V, s=s, T=T, v1=v1, v2=v2, model=model)
 
@@ -400,7 +404,7 @@ def verify_coupling(model: SpectralModel, s: float, T: float, v, eps: float,
     """Terminal coincidence of the coupled flow and the Girsanov weight mean.
 
     terminal_gap is deterministic (noise cancels in the coupled differences)
-    and computed by quadrature.  girsanov_mean is the sample mean of
+    and computed in closed form.  girsanov_mean is the sample mean of
 
         R_eps = exp(eps S - eps^2/2 Q),  S = sum <h(r_i), dW_i>,
                                          Q = sum |h(r_i)|^2 dt,

@@ -17,6 +17,8 @@ re-running a config reproduces every number byte-for-byte.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -29,7 +31,6 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class ScenarioConfig:
     raw: dict
-    path: Optional[str] = None
 
     @property
     def model_section(self) -> dict:
@@ -64,19 +65,29 @@ class ScenarioConfig:
         return Path(self.output.get("dir", "degenflow-out"))
 
 
-def _knob_problem(value, default) -> Optional[str]:
-    """Why ``value`` cannot stand for a knob with this default, or None: an
-    int knob takes a positive int, a float knob any int or float, a list knob
-    a non-empty list of such items; nothing is truncated or parsed."""
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+
+def _knob_problem(value, default, bound=None) -> Optional[str]:
+    """Why ``value`` cannot stand for a knob with this default and catalog
+    bound, or None: an int knob takes a positive int, a float knob any finite
+    int or float, a list knob a non-empty list of such items, each also satisfying
+    ``bound`` = (op, limit) if given; nothing is truncated or parsed."""
     if isinstance(default, list):
         if type(value) is not list or not value:
             return "must be a non-empty list"
-        problem = next(filter(None, (_knob_problem(v, default[0]) for v in value)), None)
+        problem = next(filter(None, (_knob_problem(v, default[0], bound) for v in value)),
+                       None)
         return problem and f"each item {problem}"
     # type(True) is bool, not int: a boolean is never a number here
     if type(default) is int:
-        return None if type(value) is int and value > 0 else "must be a positive integer"
-    return None if type(value) in (int, float) else "must be a number"
+        if type(value) is not int or value <= 0:
+            return "must be a positive integer"
+    elif type(value) not in (int, float) or not math.isfinite(value):
+        return "must be a finite number"
+    if bound and not _COMPARE[bound[0]](value, bound[1]):
+        return f"must be {bound[0]} {bound[1]}"
+    return None
 
 
 def validate_config(raw: dict) -> list:
@@ -99,7 +110,7 @@ def validate_config(raw: dict) -> list:
         info = SCENARIOS[scenario]
         for key, value in exp.items():
             if key in info.knobs:
-                problem = _knob_problem(value, info.knobs[key])
+                problem = _knob_problem(value, info.knobs[key], info.bounds.get(key))
                 if problem:
                     errors.append(f"experiment.{key}: {problem}, got {value!r}")
             elif key not in ("scenario", "seed"):
@@ -140,4 +151,4 @@ def load_config(path) -> ScenarioConfig:
     errors = validate_config(raw if raw is not None else {})
     if errors:
         raise ConfigError("; ".join(errors))
-    return ScenarioConfig(raw=raw, path=str(path))
+    return ScenarioConfig(raw=raw)

@@ -46,17 +46,17 @@ __all__ = [
 ]
 
 
-def psd_sqrt(S: np.ndarray, floor: float = -1e-8) -> np.ndarray:
+def psd_sqrt(S: np.ndarray) -> np.ndarray:
     """Factor F with F F^T = S for symmetric PSD S (eigenvalues clipped at 0).
 
-    Raises if an eigenvalue falls below ``floor`` times the matrix scale,
-    which would indicate genuinely indefinite input rather than roundoff.
+    Raises if an eigenvalue falls below -1e-8 times the matrix scale, which
+    would indicate genuinely indefinite input rather than roundoff.
     """
     S = np.asarray(S, dtype=float)
     S = (S + S.T) / 2.0
     w, U = np.linalg.eigh(S)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if w.size and float(w.min()) < floor * scale:
+    if w.size and float(w.min()) < -1e-8 * scale:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     return U * np.sqrt(w)
@@ -106,13 +106,15 @@ class GaussianLaw:
     mean: np.ndarray
     cov: np.ndarray
 
-    def check(self, sym_tol: float = 1e-12, eig_floor: float = -1e-10) -> None:
+    def check(self) -> None:
+        """Raise unless the covariance is symmetric to 1e-12 and its least
+        eigenvalue is above -1e-10, both relative to its scale."""
         scale = max(1.0, float(np.max(np.abs(self.cov))))
         asym = float(np.max(np.abs(self.cov - self.cov.T)))
-        if asym > sym_tol * scale:
+        if asym > 1e-12 * scale:
             raise ValueError(f"covariance asymmetry {asym:.3e}")
         w = np.linalg.eigvalsh((self.cov + self.cov.T) / 2.0)
-        if w.size and float(w.min()) < eig_floor * scale:
+        if w.size and float(w.min()) < -1e-10 * scale:
             raise ValueError(f"covariance not PSD: min eigenvalue {w.min():.3e}")
 
     def factor(self) -> np.ndarray:
@@ -124,12 +126,12 @@ class GaussianLaw:
 
 
 def transition_law(model: SpectralModel, s: float, t: float, z,
-                   check: bool = False, n_panels: int = 64) -> GaussianLaw:
+                   check: bool = False) -> GaussianLaw:
     """Exact Gaussian law of the linear flow started at z at time s.
 
     Constant sigma uses a single augmented-exponential evaluation; a
-    time-dependent sigma evaluator is sampled at panel midpoints and the
-    per-panel laws are composed.  With ``check=True`` the covariance is
+    time-dependent sigma evaluator is sampled at the midpoints of 64 panels
+    and the per-panel laws are composed.  With ``check=True`` the covariance is
     cross-checked against direct quadrature (1e-6 tolerance).
     """
     if t <= s:
@@ -141,7 +143,7 @@ def transition_law(model: SpectralModel, s: float, t: float, z,
     else:
         E = np.eye(model.dim)
         G = np.zeros((model.dim, model.dim))
-        edges = np.linspace(s, t, n_panels + 1)
+        edges = np.linspace(s, t, 64 + 1)
         for a, b in zip(edges[:-1], edges[1:]):
             Ek, Gk = _van_loan(A, model.noise_matrix((a + b) / 2.0), b - a)
             E = Ek @ E
@@ -156,15 +158,14 @@ def transition_law(model: SpectralModel, s: float, t: float, z,
     return law
 
 
-def transition_law_quadrature(model: SpectralModel, s: float, t: float, z,
-                              n_nodes: int = 200) -> GaussianLaw:
-    """Independent covariance route: Gauss-Legendre quadrature of
+def transition_law_quadrature(model: SpectralModel, s: float, t: float, z) -> GaussianLaw:
+    """Independent covariance route: 200-node Gauss-Legendre quadrature of
     e^{(t-r)A} N_r e^{(t-r)A^T} plus the matrix-exponential mean."""
     if t <= s:
         raise ValueError("t must exceed s")
     z = np.asarray(z, dtype=float).reshape(model.dim)
     A = model.block_operator()
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(200)
     r = 0.5 * (t - s) * (nodes + 1.0) + s
     w = 0.5 * (t - s) * weights
     G = np.zeros((model.dim, model.dim))

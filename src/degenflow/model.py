@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -118,13 +118,9 @@ class Modulus:
         return cls(family="custom", K=K, fn=fn)
 
 
-def _geometric_grid(lo: float = 1e-8, hi: float = 1.0, n: int = 64) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
-
-
 def _check_modulus_valid(phi: Modulus, tol: float = 1e-12) -> None:
     """Positivity and monotonicity on a geometric sample grid."""
-    grid = _geometric_grid()
+    grid = np.geomspace(1e-8, 1.0, 64)
     vals = phi(grid)
     if not np.all(np.isfinite(vals)):
         raise InvalidModulusError("modulus evaluates to non-finite values")
@@ -137,16 +133,17 @@ def _check_modulus_valid(phi: Modulus, tol: float = 1e-12) -> None:
         raise InvalidModulusError("modulus must vanish at 0")
 
 
-def phi_squared_midpoint_concave(phi: Modulus, n: int = 64, tol: float = 1e-10) -> bool:
-    """Midpoint-concavity of phi^2 on a geometric grid: all pairs (a, b)."""
-    grid = _geometric_grid(1e-6, 1.0, n)
+def phi_squared_midpoint_concave(phi: Modulus) -> bool:
+    """Midpoint-concavity of phi^2, to 1e-10, over all pairs (a, b) of 64
+    geometric points in [1e-6, 1]."""
+    grid = np.geomspace(1e-6, 1.0, 64)
     sq = phi(grid) ** 2
     a = grid[:, None]
     b = grid[None, :]
     mid = phi((a + b) / 2.0) ** 2
     lhs = mid
     rhs = (sq[:, None] + sq[None, :]) / 2.0
-    return bool(np.all(lhs >= rhs - tol))
+    return bool(np.all(lhs >= rhs - 1e-10))
 
 
 def dini_integral(phi: Modulus, quad_floor: float) -> float:
@@ -270,9 +267,6 @@ class PowerTail:
     coef: float
     exponent: float
 
-    def eigenvalue(self, i):
-        return self.coef * np.power(np.asarray(i, dtype=float), self.exponent)
-
     def tail_sum(self, delta: float, start: int) -> float:
         """sum_{i >= start} lambda_i^{delta-1} via the Hurwitz zeta function."""
         p = self.exponent * (1.0 - delta)
@@ -372,10 +366,6 @@ class SpectralModel:
             return False
         return bool(np.allclose(self.A2, -np.diag(self.eigenvalues)))
 
-    def split(self, z: np.ndarray):
-        z = np.asarray(z, dtype=float)
-        return z[..., : self.m], z[..., self.m:]
-
 
 # ---------------------------------------------------------------------------
 # Hypothesis validation
@@ -431,10 +421,14 @@ def _expm(M: np.ndarray) -> np.ndarray:
     return expm(M)
 
 
-def validate_hypotheses(model: SpectralModel,
-                        times: Sequence[float] = (0.1, 0.5, 1.0),
-                        sv_floor: float = 1e-10,
-                        intertwine_tol: float = 1e-8) -> HypothesisReport:
+# sampled times, singular-value floor and intertwining tolerance of the
+# hypothesis checks
+_HYPOTHESIS_TIMES = (0.1, 0.5, 1.0)
+_SV_FLOOR = 1e-10
+_INTERTWINE_TOL = 1e-8
+
+
+def validate_hypotheses(model: SpectralModel) -> HypothesisReport:
     """Report pass/fail with measured residuals for H1-H4 on a truncation.
 
     Report-only: never raises.  Spectral positivity / tail summability in H3
@@ -444,24 +438,25 @@ def validate_hypotheses(model: SpectralModel,
     checks = []
 
     # H1: sigma sigma* invertible on sampled times
-    svs = [_min_sv(model.sigma_at(t) @ model.sigma_at(t).T) for t in (0.0, *times)]
+    svs = [_min_sv(model.sigma_at(t) @ model.sigma_at(t).T)
+           for t in (0.0, *_HYPOTHESIS_TIMES)]
     h1 = min(svs)
     checks.append(HypothesisCheck(
         "H1", "smallest singular value of sigma sigma* over sampled t",
-        h1 >= sv_floor, h1, sv_floor))
+        h1 >= _SV_FLOOR, h1, _SV_FLOOR))
 
     # H2: BB* invertible + intertwining residual
     bb = _min_sv(model.B @ model.B.T)
     checks.append(HypothesisCheck(
-        "H2", "smallest singular value of B B*", bb >= sv_floor, bb, sv_floor))
+        "H2", "smallest singular value of B B*", bb >= _SV_FLOOR, bb, _SV_FLOOR))
     resid = 0.0
-    for t in times:
+    for t in _HYPOTHESIS_TIMES:
         lhs = model.B @ _expm(t * model.A2)
         rhs = _expm(t * model.A1) @ _expm(t * model.A0) @ model.B
         resid = max(resid, float(np.linalg.norm(lhs - rhs, 2)))
     checks.append(HypothesisCheck(
         "H2-intertwine", "residual of B e^{tA2} = e^{tA1} e^{tA0} B",
-        resid <= intertwine_tol, resid, intertwine_tol))
+        resid <= _INTERTWINE_TOL, resid, _INTERTWINE_TOL))
 
     # H3: -A2 self-adjoint, ordered spectrum, summability
     sym = float(np.linalg.norm(model.A2 - model.A2.T, 2))
@@ -511,7 +506,7 @@ def validate_hypotheses(model: SpectralModel,
             r1 = float(np.linalg.norm(p1 @ model.B - model.B @ p2, 2))
             r2 = float(np.linalg.norm(p1 @ model.A1 - model.A1 @ p1, 2))
             local_worst = max(local_worst, r1, r2)
-            if max(r1, r2) > intertwine_tol:
+            if max(r1, r2) > _INTERTWINE_TOL:
                 ok = False
                 break
         if ok:
@@ -521,7 +516,7 @@ def validate_hypotheses(model: SpectralModel,
     checks.append(HypothesisCheck(
         "H4", "projection commutation residual above level n0",
         best_n0 is not None, worst if best_n0 is not None else math.inf,
-        intertwine_tol,
+        _INTERTWINE_TOL,
         note=f"n0={best_n0}" if best_n0 is not None else "no admissible n0"))
 
     return HypothesisReport(checks=tuple(checks), model_name=model.name)
@@ -568,8 +563,9 @@ class DriftSpec:
 
 
 def validate_drift_regularity(b: DriftSpec, ball_radius: float, n_samples: int,
-                              seed: int, t_max: float = 1.0) -> float:
-    """Max over sampled pairs of |b(z)-b(z')| - K|x-x'|^a - phi(|y-y'|).
+                              seed: int) -> float:
+    """Max over sampled pairs of |b(z)-b(z')| - K|x-x'|^a - phi(|y-y'|), at
+    times uniform in [0, 1].
 
     Negative or tiny positive values are consistent with the declaration.
     Pairs are drawn sequentially from one substream, so doubling n_samples
@@ -584,7 +580,7 @@ def validate_drift_regularity(b: DriftSpec, ball_radius: float, n_samples: int,
     done = 0
     while done < n_samples:
         n = min(block, n_samples - done)
-        t = rng.uniform(0.0, t_max, size=n)
+        t = rng.uniform(0.0, 1.0, size=n)
         # two points per pair, uniform in the centered ball of the given radius
         pts = rng.standard_normal(size=(2 * n, dim))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)

@@ -186,11 +186,11 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         raise
 
 
-def bundle_to_csv(bundle: PathBundle, path, max_paths: int = 64) -> None:
-    """Row-per-(path, node) CSV for small bundles."""
-    if bundle.n_paths > max_paths:
+def bundle_to_csv(bundle: PathBundle, path) -> None:
+    """Row-per-(path, node) CSV for bundles of at most 64 paths."""
+    if bundle.n_paths > 64:
         raise ValueError(f"bundle too large for CSV ({bundle.n_paths} paths; "
-                         f"cap {max_paths}); use the binary format")
+                         "cap 64); use the binary format")
     m = bundle.X.shape[-1]
     d = bundle.Y.shape[-1]
     header = ["path", "t"] + [f"x{i}" for i in range(m)] + [f"y{i}" for i in range(d)]

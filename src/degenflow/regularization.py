@@ -73,6 +73,15 @@ __all__ = [
     "holder_envelope_ratio",
 ]
 
+# Gauss-Hermite nodes per axis of every grid expectation, and Gauss-Legendre
+# nodes of the local panel rule in the Picard sweep
+_GH_ORDER = 4
+_N_LOCAL = 6
+# largest discount the contraction search tries
+_LAMBDA_CAP = 2.0 ** 20
+# central-difference step of FunctionField's y-Jacobian
+_FD_STEP = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Grids and fields
@@ -250,21 +259,19 @@ class FunctionField:
 
     Provides the same evaluation surface as FieldGrid (interp, interp_many,
     jacobian_y_many, lo/hi) so residual experiments can run against exact
-    fields; the y-Jacobian uses central differences at ``fd_step`` unless an
-    analytic ``jac_fn(s, pts) -> (n, d, d)`` is supplied.  The box is
-    unbounded by default.
+    fields; the y-Jacobian uses central differences at step ``_FD_STEP``
+    unless an analytic ``jac_fn(s, pts) -> (n, d, d)`` is supplied.  The box
+    is unbounded: ``lo`` and ``hi`` are -inf and +inf on every axis.
     """
 
-    def __init__(self, fn: Callable, m: int, d: int, jac_fn: Optional[Callable] = None,
-                 fd_step: float = 1e-6, lo=None, hi=None):
+    def __init__(self, fn: Callable, m: int, d: int, jac_fn: Optional[Callable] = None):
         self.fn = fn
         self.m = m
         self.d = d
         self.dim = m + d
         self.jac_fn = jac_fn
-        self.fd_step = fd_step
-        self.lo = np.full(self.dim, -np.inf) if lo is None else np.asarray(lo, dtype=float)
-        self.hi = np.full(self.dim, np.inf) if hi is None else np.asarray(hi, dtype=float)
+        self.lo = np.full(self.dim, -np.inf)
+        self.hi = np.full(self.dim, np.inf)
 
     def interp(self, s: float, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -284,10 +291,10 @@ class FunctionField:
         for j in range(self.d):
             zp = pts.copy()
             zm = pts.copy()
-            zp[:, self.m + j] += self.fd_step
-            zm[:, self.m + j] -= self.fd_step
+            zp[:, self.m + j] += _FD_STEP
+            zm[:, self.m + j] -= _FD_STEP
             J[:, :, j] = (self.interp_many(times_q, zp)
-                          - self.interp_many(times_q, zm)) / (2.0 * self.fd_step)
+                          - self.interp_many(times_q, zm)) / (2.0 * _FD_STEP)
         return J
 
 
@@ -354,17 +361,16 @@ class ResolventValue:
 
 
 def resolvent_apply(model: SpectralModel, lam: float, f: Callable, s: float, z,
-                    t_final: float, budget: int = 256,
-                    gh_order: int = 8) -> ResolventValue:
+                    t_final: float, budget: int = 256) -> ResolventValue:
     """int_s^T e^{-lam (r-s)} (P^0_{s,r} f_r)(z) dr by layered quadrature.
 
     f is a time-indexed observable: f(r, pts) -> (n_pts,) or (n_pts, p).
     The substitution r = s + tau^2 absorbs integrable square-root gradient
     singularities at the left endpoint; tau panels are geometric toward 0
     with 8 Gauss-Legendre nodes each, and the inner expectations use
-    Gauss-Hermite rules.  ``budget`` caps the total number of tau nodes; if
-    it is exhausted before the finest layers, the result carries the
-    achieved tolerance and ``converged=False``.
+    Gauss-Hermite rules with 8 nodes per axis.  ``budget`` caps the total
+    number of tau nodes; if it is exhausted before the finest layers, the
+    result carries the achieved tolerance and ``converged=False``.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -395,7 +401,7 @@ def resolvent_apply(model: SpectralModel, lam: float, f: Callable, s: float, z,
             # floor keeps the gap representable; the law degenerates smoothly
             r = s + max(tau * tau, 1e-13)
             est = apply_P0(model, s, r, lambda pts: f(r, pts), z,
-                           method="gauss_hermite", budget=gh_order)
+                           method="gauss_hermite", budget=8)
             val = np.asarray(est.value, dtype=float)
             sup_f = max(sup_f, float(np.max(np.abs(val))))
             term = w * 2.0 * tau * math.exp(-lam * tau * tau) * val
@@ -456,12 +462,11 @@ class _PicardEngine:
     Every expectation in the sweep hits the same clamped Gauss-Hermite points,
     so each is a fixed sparse operator on grid functions.  The local panel
     rule blends the integrand linearly between time nodes, which folds its
-    n_local expectations into two operators, L0 (weights on node i) and L1
+    _N_LOCAL expectations into two operators, L0 (weights on node i) and L1
     (weights on node i+1); the discounted one-step expectation is the third.
     """
 
-    def __init__(self, model: SpectralModel, lam: float, grid: GridSpec,
-                 gh_order: int = 4, n_local: int = 6):
+    def __init__(self, model: SpectralModel, lam: float, grid: GridSpec):
         if grid.dim != model.dim:
             raise ValueError("grid dimension must equal model dimension")
         if not model.sigma_constant:
@@ -480,14 +485,14 @@ class _PicardEngine:
 
         A = model.block_operator()
         N = model.noise_matrix(0.0)
-        self.gh_pts, self.gh_wts = _gauss_hermite_nodes(model.dim, gh_order)
+        self.gh_pts, self.gh_wts = _gauss_hermite_nodes(model.dim, _GH_ORDER)
 
         # discounted one-step operator over a full panel
         self.step = math.exp(-self.lam * self.delta) * self._expectation(
             *_van_loan(A, N, self.delta))
 
         # local panel nodes via the xi = e^{-lam u} substitution
-        gl_x, gl_w = np.polynomial.legendre.leggauss(n_local)
+        gl_x, gl_w = np.polynomial.legendre.leggauss(_N_LOCAL)
         if self.lam * self.delta > 1e-8:
             xi_lo = math.exp(-self.lam * self.delta)
             xi = 0.5 * (1.0 - xi_lo) * (gl_x + 1.0) + xi_lo
@@ -545,8 +550,7 @@ def _integrand_table(engine: _PicardEngine, model: SpectralModel, bvals: np.ndar
 
 
 def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,
-                 tol: float = 1e-8, max_iter: int = 60, gh_order: int = 4,
-                 n_local: int = 6):
+                 tol: float = 1e-8, max_iter: int = 60):
     """Solve the discounted fixed-point equation on a tensor grid.
 
     Iterates u^{k+1} = Gamma(u^k) from u^0 = 0, recording sup-norm residuals
@@ -558,7 +562,7 @@ def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,
         raise CapabilityError("picard_solve is limited to total dimension <= 3")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    engine = _PicardEngine(model, lam, grid, gh_order=gh_order, n_local=n_local)
+    engine = _PicardEngine(model, lam, grid)
     mesh = engine.mesh
     x, y = mesh[:, : model.m], mesh[:, model.m:]
     bvals = np.stack([np.asarray(b(float(t), x, y), dtype=float)
@@ -597,20 +601,16 @@ def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,
 
 
 def find_contraction_lambda(model: SpectralModel, b: DriftSpec, grid: GridSpec,
-                            lam0: float = 16.0, cap: float = 2.0 ** 20,
-                            tol: float = 1e-8, max_iter: int = 40,
-                            gh_order: int = 4, n_local: int = 6):
+                            lam0: float = 16.0, tol: float = 1e-8, max_iter: int = 40):
     """Doubling search: smallest tried lambda with 3 consecutive factors <= 1/2.
 
     Immediate convergence (fewer than 3 measurable factors, e.g. constant
     drifts) also accepts.  Returns (lam, field, report).
     """
     lam = float(lam0)
-    while lam <= cap:
+    while lam <= _LAMBDA_CAP:
         try:
-            field, report = picard_solve(model, b, lam, grid, tol=tol,
-                                         max_iter=max_iter, gh_order=gh_order,
-                                         n_local=n_local)
+            field, report = picard_solve(model, b, lam, grid, tol=tol, max_iter=max_iter)
         except LambdaTooSmallError:
             lam *= 2.0
             continue
@@ -626,7 +626,7 @@ def find_contraction_lambda(model: SpectralModel, b: DriftSpec, grid: GridSpec,
         if ok:
             return lam, field, report
         lam *= 2.0
-    raise IterationError(f"no contracting lambda found up to cap {cap}")
+    raise IterationError(f"no contracting lambda found up to cap {_LAMBDA_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +642,12 @@ def theta_forward(field: FieldGrid, s: float, z) -> np.ndarray:
     return out
 
 
-def theta_inverse(field: FieldGrid, s: float, w, tol: float = 1e-10,
-                  max_iter: int = 200, damping: float = 1.0) -> np.ndarray:
-    """Invert Theta_s by damped fixed-point iteration on y = w2 - u_s(x, y).
+def theta_inverse(field: FieldGrid, s: float, w) -> np.ndarray:
+    """Invert Theta_s by fixed-point iteration y <- w2 - u_s(x, y).
 
-    Requires sup ||grad^(2) u|| < 1 on the box (the bijectivity condition);
-    raises NotInvertibleError otherwise and IterationError on non-convergence.
+    Requires sup ||grad^(2) u|| < 1 on the box (the bijectivity condition),
+    which makes the map a contraction; raises NotInvertibleError otherwise
+    and IterationError if 200 iterations do not bring the step below 1e-10.
     """
     g = field.sup_grad2()
     if g >= 1.0:
@@ -657,10 +657,9 @@ def theta_inverse(field: FieldGrid, s: float, w, tol: float = 1e-10,
     x, w2 = w[: field.m], w[field.m:]
     y = w2.copy()
     z = np.concatenate([x, y])
-    for _ in range(max_iter):
-        u = field.interp(s, z)[0]
-        y_new = y + damping * ((w2 - u) - y)
-        if float(np.max(np.abs(y_new - y))) < tol:
+    for _ in range(200):
+        y_new = w2 - field.interp(s, z)[0]
+        if float(np.max(np.abs(y_new - y))) < 1e-10:
             z[field.m:] = y_new
             return z
         y = y_new
@@ -700,37 +699,21 @@ def _mode_submodel(model: SpectralModel, i: int) -> SpectralModel:
 
 
 def galerkin_compare(model: SpectralModel, mode_drifts: Sequence[Callable],
-                     lam: float, levels: Optional[Sequence[int]] = None,
-                     grid2d: Optional[GridSpec] = None,
-                     probes: Optional[np.ndarray] = None, tol: float = 1e-7,
-                     seed: int = 0, gh_order: int = 4, n_local: int = 6,
-                     max_iter: int = 40, n_small: Optional[int] = None,
-                     n_large: Optional[int] = None) -> GalerkinReport:
+                     lam: float, levels: Sequence[int], grid2d: GridSpec,
+                     seed: int = 0) -> GalerkinReport:
     """Truncation gaps of the fixed-point field for mode-separable drifts.
 
     mode_drifts[i] is a scalar callable (t, x_i, y_i) -> drift of mode i+1;
     the drift b(x, y) = sum_i beta_i(x_i, y_i) e_i decouples the fixed point
     into per-mode 2-dimensional problems, which is exact for the projected
     equations (projection zeroes trailing modes).  The reference solution
-    uses all len(mode_drifts) modes; gap(n) is the sup over probe points and
-    time nodes of the value / y-gradient distance between the level-n and
-    reference fields.  Alternatively pass a single truncation pair via
-    ``n_small``/``n_large``: the gap is then between those two levels (only
-    the first n_large mode drifts are solved).
+    uses all len(mode_drifts) modes; gap(n) is the sup over 8 probe points
+    (drawn from ``seed``'s galerkin-probes substream) and the time nodes of
+    the value / y-gradient distance between the level-n and reference fields.
+    Each mode's field is solved to residual 1e-7 within 40 iterations.
     """
     if not model.is_spectral_family:
         raise CapabilityError("galerkin_compare needs a spectral-family model")
-    if grid2d is None:
-        raise ValueError("grid2d is required")
-    if n_small is not None or n_large is not None:
-        if n_small is None or n_large is None or not n_small < n_large:
-            raise ValueError("need n_small < n_large")
-        if n_large > len(mode_drifts):
-            raise ValueError("n_large exceeds the number of mode drifts")
-        mode_drifts = mode_drifts[:n_large]
-        levels = [n_small]
-    if levels is None:
-        raise ValueError("levels (or n_small/n_large) is required")
     n_ref = len(mode_drifts)
     if n_ref > model.d:
         raise ValueError("more mode drifts than model modes")
@@ -753,16 +736,12 @@ def galerkin_compare(model: SpectralModel, mode_drifts: Sequence[Callable],
         drift = DriftSpec(fn=lambda t, x, y, f=beta: np.asarray(f(t, x, y), dtype=float),
                           m=1, d=1, alpha=0.75, phi=Modulus.power(1.0, 0.5), K=1.0,
                           bound=None, name=f"mode{i + 1}")
-        field, _ = picard_solve(sub, drift, lam, grid2d, tol=tol,
-                                max_iter=max_iter, gh_order=gh_order,
-                                n_local=n_local)
+        field, _ = picard_solve(sub, drift, lam, grid2d, tol=1e-7, max_iter=40)
         fields.append(field)
         sups.append(field.sup_value())
 
-    if probes is None:
-        rng = substream(seed, "regularization", "galerkin-probes")
-        probes = rng.uniform(-1.5, 1.5, size=(8, 2 * n_ref))
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    rng = substream(seed, "regularization", "galerkin-probes")
+    probes = rng.uniform(-1.5, 1.5, size=(8, 2 * n_ref))
 
     times = grid2d.times()
     # per (probe, time, mode): value and y-derivative of u_i at (x_i, y_i),
@@ -795,17 +774,16 @@ def galerkin_compare(model: SpectralModel, mode_drifts: Sequence[Callable],
 
 
 def holder_envelope_ratio(field: FieldGrid, phi: Modulus, delta: float,
-                          pairs: Sequence, s: float = 0.0,
-                          r_grid: Optional[np.ndarray] = None) -> np.ndarray:
+                          pairs: Sequence, s: float = 0.0) -> np.ndarray:
     """Ratios ||grad2 u(z) - grad2 u(z')|| / min_r { r + |z-z'| (1 + I(r^delta)) }
 
-    with I(a) = int_a^1 phi(sigma)/sigma dsigma, evaluated over sampled pairs.
+    with I(a) = int_a^1 phi(sigma)/sigma dsigma, evaluated over sampled pairs;
+    the min runs over 40 geometric r in [1e-6, 0.999].
     Bounded ratios (no growth as |z - z'| shrinks) are the envelope check; for
     a Dini modulus the plain Lipschitz ratio is the simpler special case.
     """
     from .model import dini_integral
-    if r_grid is None:
-        r_grid = np.geomspace(1e-6, 0.999, 40)
+    r_grid = np.geomspace(1e-6, 0.999, 40)
     dini_tail = np.array([dini_integral(phi, max(float(r) ** delta, 1e-12))
                           for r in r_grid])
     out = []

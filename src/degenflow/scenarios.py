@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bismut, linear_flow, regularization as reg, sde
 from .config import ScenarioConfig
+from .errors import ConfigError
 from .model import build_drift, build_example
 from .persist import (bundle_to_csv, estimates_to_csv, picard_report_to_csv,
                       save_bundle, save_field, save_trajectory, write_csv)
@@ -63,7 +64,9 @@ ANCHORS = {
 class ScenarioInfo:
     """A catalog entry; ``knobs`` maps every experiment key the runner reads
     besides scenario and seed to its default, whose type a config value must
-    have, and ``model_kind`` names the kind of model section it reads, if any
+    have, ``bounds`` maps a knob to the (op, limit) its value, or each item of
+    its list, must satisfy beyond that type (op is ">" or ">="), and
+    ``model_kind`` names the kind of model section it reads, if any
     (validation rejects any other key, value or section)."""
 
     name: str
@@ -72,6 +75,7 @@ class ScenarioInfo:
     runner: Callable
     knobs: Mapping[str, object] = field(default_factory=dict)
     model_kind: Optional[str] = None
+    bounds: Mapping[str, tuple] = field(default_factory=dict)
 
 
 def _anchor_line(anchor: str, text: str) -> str:
@@ -191,6 +195,9 @@ def _run_picard_lambda_sweep(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     ]
 
 
+_GALERKIN_LEVELS = (2, 4, 8)
+
+
 def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     n_ref = cfg.knob("n_reference")
     section = cfg.model_section
@@ -199,6 +206,9 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     section.setdefault("d_space", 1)
     section.setdefault("n", n_ref)
     model, _ = build_example("wave", **section)
+    if model.d < _GALERKIN_LEVELS[-1]:
+        raise ConfigError(f"model.n: galerkin_wave compares levels up to "
+                          f"{_GALERKIN_LEVELS[-1]} and needs as many modes, got {model.d}")
     n_ref = min(n_ref, model.d)
     amp = cfg.knob("amplitude")
 
@@ -209,7 +219,7 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     grid = reg.GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), shape=(33, 33),
                         t_final=1.0, n_time=17)
     report = reg.galerkin_compare(model, drifts, lam=cfg.knob("lam"),
-                                  levels=[2, 4, 8], grid2d=grid, seed=cfg.seed)
+                                  levels=_GALERKIN_LEVELS, grid2d=grid, seed=cfg.seed)
     write_csv(outdir / "galerkin.csv", ["level", "value_gap", "grad_gap"],
               [[n, v, g] for n, v, g in zip(report.levels, report.value_gaps,
                                             report.grad_gaps)])
@@ -312,8 +322,7 @@ def _run_bihari_envelope(cfg: ScenarioConfig, outdir: Path) -> List[str]:
                                    seed=cfg.seed)
     # one illustrative curve (the path with the largest measured eta)
     p = int(np.argmax(rep.eta_T))
-    bound = sde.bihari_bound(b.ell, b.h, float(rep.eta_T[p]), T,
-                             float(rep.C_env[p]))
+    bound = sde.BihariBound(b.ell, float(rep.eta_T[p]), float(rep.C_env[p]))
     ts = np.linspace(0.0, T, 33)
     curve = bound.curve(ts)
     sup_interp = np.interp(ts, rep.times, rep.sup_tilde_sq[p])
@@ -334,7 +343,7 @@ SCENARIOS = {
         "Monte-Carlo derivative probes on the kinetic scalar flow vs analytic "
         "Gaussian derivatives, plus the coupling/Girsanov check",
         "bismut-gradient-identity", _run_kinetic_bismut,
-        {"n_paths": 20000, "n_steps": 256}),
+        {"n_paths": 20000, "n_steps": 256}, bounds={"n_paths": (">=", 2)}),
     "gradient_scaling": ScenarioInfo(
         "gradient_scaling",
         "fitted gap-exponents of the semigroup gradient sup-norms in both "
@@ -355,26 +364,31 @@ SCENARIOS = {
         "galerkin_wave",
         "truncation-gap decay of the fixed-point field for the wave system",
         "galerkin-gap-decay", _run_galerkin_wave,
-        {"n_reference": 12, "amplitude": 1.0, "lam": 64.0}, model_kind="wave"),
+        {"n_reference": 12, "amplitude": 1.0, "lam": 64.0}, model_kind="wave",
+        bounds={"n_reference": (">=", _GALERKIN_LEVELS[-1]), "lam": (">", 0)}),
     "uniqueness_rough": ScenarioInfo(
         "uniqueness_rough",
         "common-noise gap tables for the rough drift across perturbations "
         "and step counts",
         "uniqueness-common-noise", _run_uniqueness_rough,
         {"t_final": 1.0, "steps": [256, 512, 1024],
-         "perturbations": [1e-2, 1e-3, 1e-4, 0.0]}),
+         "perturbations": [1e-2, 1e-3, 1e-4, 0.0]},
+        bounds={"t_final": (">", 0), "perturbations": (">=", 0)}),
     "representation_residual": ScenarioInfo(
         "representation_residual",
         "residual decay of the field representation identity under step "
         "refinement (constant and rough drifts)",
         "representation-identity", _run_representation_residual,
         {"lam": 64.0, "n_paths": 8, "rough_gridpoints": 1025,
-         "rough_timenodes": 129}),
+         "rough_timenodes": 129},
+        bounds={"lam": (">", 0), "rough_gridpoints": (">=", 2),
+                "rough_timenodes": (">=", 2)}),
     "bihari_envelope": ScenarioInfo(
         "bihari_envelope",
         "pathwise nonlinear-Gronwall envelope check for the dissipative drift",
         "bihari-envelope", _run_bihari_envelope,
-        {"t_final": 2.0, "n_paths": 1000, "n_steps": 512}),
+        {"t_final": 2.0, "n_paths": 1000, "n_steps": 512},
+        bounds={"t_final": (">", 0)}),
 }
 
 

@@ -58,7 +58,6 @@ __all__ = [
     "cutoff_drift",
     "uniqueness_experiment",
     "representation_residual",
-    "bihari_bound",
     "dissipation_envelope",
 ]
 
@@ -221,38 +220,34 @@ class EnsembleTrajectories:
 
 
 def _resolve_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
-                   noise: Union[int, NoiseRecord, PathBundle, None]) -> NoiseRecord:
-    if isinstance(noise, NoiseRecord):
-        rec = noise
-    elif isinstance(noise, PathBundle):
-        rec = noise_from_bundle(model, noise)
-    else:
-        seed = 0 if noise is None else int(noise)
-        return make_noise(model, T, n_steps, n_paths, seed)
+                   noise: Union[int, NoiseRecord]) -> NoiseRecord:
+    if not isinstance(noise, NoiseRecord):
+        return make_noise(model, T, n_steps, n_paths, int(noise))
     # the step kernels are built on the uniform grid of [0, T]
-    if (rec.n_steps != n_steps or abs(float(rec.times[0])) > 1e-12
-            or abs(float(rec.times[-1]) - T) > 1e-12
-            or not np.allclose(np.diff(rec.times), T / n_steps, rtol=1e-9, atol=0.0)):
+    if (noise.n_steps != n_steps or abs(float(noise.times[0])) > 1e-12
+            or abs(float(noise.times[-1]) - T) > 1e-12
+            or not np.allclose(np.diff(noise.times), T / n_steps, rtol=1e-9, atol=0.0)):
         raise ValueError("noise record grid does not match the requested grid")
-    if n_paths in (1, rec.n_paths):
-        return rec
-    if rec.n_paths == 1:
-        return NoiseRecord(times=rec.times,
-                           dW=np.repeat(rec.dW, n_paths, axis=0),
-                           eta=np.repeat(rec.eta, n_paths, axis=0))
+    if n_paths in (1, noise.n_paths):
+        return noise
+    if noise.n_paths == 1:
+        return NoiseRecord(times=noise.times,
+                           dW=np.repeat(noise.dW, n_paths, axis=0),
+                           eta=np.repeat(noise.eta, n_paths, axis=0))
     raise ValueError("noise record has a different number of paths")
 
 
 def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
-                       n_steps: int, noise: Union[int, NoiseRecord, PathBundle, None] = None,
-                       n_paths: int = 1,
+                       n_steps: int, noise: Union[int, NoiseRecord], n_paths: int = 1,
                        threshold: float = BLOWUP_THRESHOLD) -> EnsembleTrajectories:
     """Exponential-Euler integration of the nonlinear system, path-vectorized.
 
     Per step: z' = E z + J inj b(t, z) + eta, with E the exact block flow,
     J the integrated exponential, and eta the recorded exact noise
-    convolution.  Paths whose state norm exceeds ``threshold`` freeze at
-    their exit value with the exit time recorded.
+    convolution.  ``noise`` is a NoiseRecord on this grid, or a seed for
+    ``make_noise`` (a PathBundle's record is ``noise_from_bundle``).  Paths
+    whose state norm exceeds ``threshold`` freeze at their exit value with
+    the exit time recorded.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -295,7 +290,7 @@ def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
 
 
 def integrate_mild(model: SpectralModel, b: DriftSpec, z0, T: float, n_steps: int,
-                   noise: Union[int, NoiseRecord, PathBundle, None] = None,
+                   noise: Union[int, NoiseRecord],
                    threshold: float = BLOWUP_THRESHOLD) -> MildTrajectory:
     """Single-trajectory exponential-Euler integration (see integrate_ensemble)."""
     ens = integrate_ensemble(model, b, z0, T, n_steps, noise=noise, n_paths=1,
@@ -520,20 +515,16 @@ class BihariBound:
 
     Gamma(s) = int_1^s dr / (2 ell(C + C r)) with a declared nondecreasing
     positive ``ell``, by the fixed ladder rule of ``_gamma``; the inverse is
-    computed by Newton's method.  The ``h`` growth function is part of the
-    interface (it enters the measured eta_T) but not the curve itself.
+    computed by Newton's method.
     """
 
-    def __init__(self, ell: Callable, h: Optional[Callable], eta_T: float,
-                 T: float, C_env: float):
+    def __init__(self, ell: Callable, eta_T: float, C_env: float):
         if C_env <= 1.0:
             raise ValueError("C_env must exceed 1")
         if eta_T <= 0.0:
             raise ValueError("eta_T must be positive")
         self.ell = ell
-        self.h = h
         self.eta_T = float(eta_T)
-        self.T = float(T)
         self.C = float(C_env)
         self._osgood_check()
 
@@ -571,12 +562,6 @@ class BihariBound:
             if np.all(step <= 1e-12 * np.maximum(1.0, s)):
                 return s if np.ndim(t) else float(s)
         raise IterationError("Bihari inverse did not converge in 100 Newton steps")
-
-
-def bihari_bound(ell: Callable, h: Optional[Callable], eta_T: float, T: float,
-                 C_env: float) -> BihariBound:
-    """Construct the a-priori envelope object (see BihariBound)."""
-    return BihariBound(ell, h, eta_T, T, C_env)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,33 @@ def test_terminal_coincidence_wave_two_modes():
     assert ctrl.terminal_gap() <= 1e-8
 
 
+@pytest.mark.parametrize("model,v", [
+    (build_example("kinetic", d=1)[0], [0.7, -0.3]),
+    (build_example("second_order", d=2)[0], [0.7, -0.3, 0.4, 1.1]),   # nonzero A0
+    (build_example("wave", theta=1.0, d_space=1, n=2, delta=0.4)[0],
+     [0.3, -0.2, 0.1, 0.4]),
+])
+def test_coupled_difference_matches_quadrature(model, v):
+    for s, T in ((0.0, 1.0), (0.3, 0.8)):
+        ctrl = perturbation_controls(model, s, T, v)
+        BBt = model.B @ model.B.T
+
+        def x_integrand(r):
+            E = _expm((r - s) * model.A0)
+            return E @ ((T - r) / (T - s) * (model.B @ ctrl.v2)
+                        - (r - s) * (T - r) * (BBt @ (E.T @ ctrl.V)))
+
+        for t in np.linspace(s, T, 6)[1:-1]:
+            dY = _expm((t - s) * model.A2) @ ctrl.v2 - integrate.quad_vec(
+                lambda r: _expm((t - r) * model.A2) @ ctrl.phi(float(r)),
+                s, t, epsabs=1e-14, epsrel=1e-13)[0]
+            inner = integrate.quad_vec(x_integrand, s, t, epsabs=1e-14, epsrel=1e-13)[0]
+            dX = _expm((t - s) * model.A1) @ (ctrl.v1 + inner)
+            got_X, got_Y = ctrl.coupled_difference(t)
+            np.testing.assert_allclose(got_X, dX, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_Y, dY, rtol=0, atol=1e-12)
+
+
 def test_midinterval_difference_matches_closed_form(kinetic):
     # (2.6)-type check: dY(t) per unit eps = (1-t) v2 - t(1-t) V for A2 = 0
     ctrl = perturbation_controls(kinetic, 0.0, 1.0, [0.0, 1.0])

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,23 @@ def test_negative_budget_rejected():
     assert any("experiment.n_paths" in e for e in errors)
 
 
+# values of the right type that a runner cannot honour: outside a knob's
+# catalog bound, or not finite
+OUT_OF_RANGE = [
+    ("galerkin_wave", "n_reference", 4),
+    ("galerkin_wave", "lam", -1),
+    ("representation_residual", "lam", -4),
+    ("representation_residual", "rough_gridpoints", 1),
+    ("representation_residual", "rough_timenodes", 1),
+    ("uniqueness_rough", "t_final", -1),
+    ("uniqueness_rough", "perturbations", [-0.1]),
+    ("bihari_envelope", "t_final", -2),
+    ("kinetic_bismut", "n_paths", 1),
+    ("uniqueness_rough", "t_final", math.inf),
+    ("galerkin_wave", "amplitude", math.nan),
+]
+
+
 @pytest.mark.parametrize("scenario,key,value", [
     ("kinetic_bismut", "n_paths", 2.7),
     ("gramian_sweep", "seed", 2.7),
@@ -62,7 +80,7 @@ def test_negative_budget_rejected():
     ("uniqueness_rough", "steps", [128, 2.5]),
     ("uniqueness_rough", "perturbations", 0.01),
     ("galerkin_wave", "lam", "64"),
-])
+] + OUT_OF_RANGE)
 def test_knob_value_of_wrong_type_rejected(tmp_path, scenario, key, value):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump({"experiment": {"scenario": scenario, "seed": 1,
@@ -70,6 +88,19 @@ def test_knob_value_of_wrong_type_rejected(tmp_path, scenario, key, value):
     code, _, err = _run_cli("validate", str(cfg))
     assert code == 2
     assert f"config error: experiment.{key}: " in err and "must be" in err
+
+
+@pytest.mark.parametrize("raw,field", [
+    ({"experiment": {"scenario": scenario, "seed": 1, key: value}}, f"experiment.{key}")
+    for scenario, key, value in OUT_OF_RANGE] + [
+    ({"model": {"kind": "wave", "n": 4},
+      "experiment": {"scenario": "galerkin_wave", "seed": 1}}, "model.n")])
+def test_run_out_of_range_exits_2_without_traceback(tmp_path, raw, field):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    code, _, err = _run_cli("run", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
 
 
 def test_unknown_knob_rejected(tmp_path):
@@ -108,6 +139,12 @@ def test_shipped_configs_validate():
             continue
         raw = yaml.safe_load(path.read_text())
         assert validate_config(raw) == [], path.name
+
+
+def test_catalog_defaults_validate():
+    for name, info in SCENARIOS.items():
+        assert validate_config({"experiment": {"scenario": name, "seed": 1,
+                                               **info.knobs}}) == [], name
 
 
 def test_load_config_raises_on_missing_file():
@@ -247,4 +284,10 @@ def test_import_leaves_scipy_integrate_unloaded():
     src = str(Path(degenflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, degenflow; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    # the coupling check's terminal gap is closed-form, not quadrature
+    code = ("import sys, degenflow as dg\n"
+            "model, _ = dg.build_example('kinetic', d=1)\n"
+            "dg.verify_coupling(model, 0.0, 1.0, [0.0, 1.0], 0.5, n_paths=100, n_steps=16)\n"
+            "sys.exit('scipy.integrate' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -195,18 +195,18 @@ def test_interp_matches_regular_grid_interpolator():
 def test_picard_apply_matches_per_node_gauss_hermite(kinetic):
     from scipy.interpolate import RegularGridInterpolator
     from degenflow.linear_flow import _gauss_hermite_nodes, _van_loan, psd_sqrt
-    from degenflow.regularization import _PicardEngine
-    lam, n_local = 8.0, 6
+    from degenflow.regularization import _GH_ORDER, _N_LOCAL, _PicardEngine
+    lam = 8.0
     grid = GridSpec(lo=(-2.0, -3.0), hi=(2.0, 3.0), shape=(5, 7), t_final=1.0, n_time=5)
-    engine = _PicardEngine(kinetic, lam, grid, gh_order=4, n_local=n_local)
+    engine = _PicardEngine(kinetic, lam, grid)
     g = np.random.default_rng(5).standard_normal((5, engine.n_pts, 1))
     got = engine.apply(g)
 
     A, N = kinetic.block_operator(), kinetic.noise_matrix(0.0)
-    gh_pts, gh_wts = _gauss_hermite_nodes(2, 4)
+    gh_pts, gh_wts = _gauss_hermite_nodes(2, _GH_ORDER)
     axes, mesh, h = grid.axes(), grid.mesh(), 0.25
 
-    x, w = np.polynomial.legendre.leggauss(n_local)
+    x, w = np.polynomial.legendre.leggauss(_N_LOCAL)
     xi_lo = math.exp(-lam * h)
     us = -np.log(0.5 * (1.0 - xi_lo) * (x + 1.0) + xi_lo) / lam
     ws = 0.5 * (1.0 - xi_lo) * w / lam
@@ -349,17 +349,6 @@ def test_galerkin_gaps_shrink_with_lambda(wave6_drifts):
     rep2 = galerkin_compare(model, drifts, lam=64.0, levels=[2], grid2d=grid,
                             seed=0)
     assert rep2.value_gaps[0] < rep1.value_gaps[0]
-
-
-def test_galerkin_pairwise_call_convention(wave6_drifts):
-    model, drifts, grid = wave6_drifts
-    pair = galerkin_compare(model, drifts, lam=64.0, grid2d=grid, seed=0,
-                            n_small=2, n_large=4)
-    full = galerkin_compare(model, drifts[:4], lam=64.0, levels=[2],
-                            grid2d=grid, seed=0)
-    assert pair.levels == (2,)
-    assert pair.reference == 4
-    assert pair.value_gaps == full.value_gaps
 
 
 # ---------------------------------------------------------------------------

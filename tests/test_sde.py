@@ -13,7 +13,7 @@ from degenflow.errors import CoverageError, IterationError, NonOsgoodWarning
 from degenflow.linear_flow import _step_kernels, sample_linear, transition_law
 from degenflow.model import SpectralModel, _expm, build_drift, build_example
 from degenflow.regularization import FunctionField, GridSpec, picard_solve
-from degenflow.sde import (bihari_bound, coarsen_noise, cutoff_drift,
+from degenflow.sde import (BihariBound, coarsen_noise, cutoff_drift,
                            dissipation_envelope, integrate_ensemble,
                            integrate_mild, make_noise, noise_from_bundle,
                            representation_residual, uniqueness_experiment)
@@ -45,7 +45,8 @@ def test_zero_drift_reproduces_linear_bundle_exactly(kinetic):
     # reusing a PathBundle's noise must replay the bundle bit-for-bit
     bundle = sample_linear(kinetic, 0.0, 1.0, [0.3, -0.2], 4, 32, seed=5)
     b = build_drift("zero", 1, 1)
-    ens = integrate_ensemble(kinetic, b, [0.3, -0.2], 1.0, 32, noise=bundle)
+    ens = integrate_ensemble(kinetic, b, [0.3, -0.2], 1.0, 32,
+                             noise=noise_from_bundle(kinetic, bundle))
     np.testing.assert_array_equal(ens.Z, bundle.Z)
 
 
@@ -325,7 +326,7 @@ def test_representation_coverage_error(kinetic):
 
 def test_bihari_constant_ell_affine():
     L = 1.0
-    bb = bihari_bound(lambda s: L + 0.0 * np.asarray(s), None, 2.0, 1.0, 1.5)
+    bb = BihariBound(lambda s: L + 0.0 * np.asarray(s), 2.0, 1.5)
     assert abs(bb.curve(0.0) - 2.0) < 1e-8
     # Gamma(s) = (s - 1)/(2L): curve(t) = eta + 2 L t
     for t in (0.25, 0.5, 1.0):
@@ -334,7 +335,7 @@ def test_bihari_constant_ell_affine():
 
 def test_bihari_linear_ell_exponential_type():
     C = 2.0
-    bb = bihari_bound(lambda s: np.asarray(s, dtype=float), None, 2.0, 1.0, C)
+    bb = BihariBound(lambda s: np.asarray(s, dtype=float), 2.0, C)
     # Gamma(s) = log((1+s)/2) / (2C); inverse: 2 e^{2 C u} - 1
     g = bb.gamma(5.0)
     assert abs(g - math.log(3.0) / (2.0 * C)) < 1e-10
@@ -345,28 +346,25 @@ def test_bihari_linear_ell_exponential_type():
 
 
 def test_bihari_t_zero_identity():
-    bb = bihari_bound(lambda s: 1.0 + np.asarray(s, dtype=float), None,
-                      3.7, 2.0, 1.2)
+    bb = BihariBound(lambda s: 1.0 + np.asarray(s, dtype=float), 3.7, 1.2)
     assert abs(bb.curve(0.0) - 3.7) < 1e-8
 
 
 def test_non_osgood_warning():
     with pytest.warns(NonOsgoodWarning):
-        bihari_bound(lambda s: 1.0 + np.asarray(s, dtype=float) ** 2, None,
-                     1.0, 1.0, 2.0)
+        BihariBound(lambda s: 1.0 + np.asarray(s, dtype=float) ** 2, 1.0, 2.0)
 
 
 def test_gamma_matches_closed_forms_on_both_sides_of_one():
     C = 2.0
     s = np.array([0.0, 1e-9, 0.3, 0.9, 1.0, 1.7, 5.0, 1e3, 1e8, 1e12])
     # ell(s) = s: Gamma(s) = log((1+s)/2) / (2C)
-    bb = bihari_bound(lambda r: np.asarray(r, dtype=float), None, 1.0, 1.0, C)
+    bb = BihariBound(lambda r: np.asarray(r, dtype=float), 1.0, C)
     np.testing.assert_allclose(bb.gamma(s), np.log1p(s) / (2 * C) - math.log(2) / (2 * C),
                                rtol=1e-12, atol=1e-15)
     # ell = 1 + s^2 is not Osgood; Gamma(s) = (atan(C(1+s)) - atan(2C)) / (2C)
     with pytest.warns(NonOsgoodWarning):
-        bb = bihari_bound(lambda r: 1.0 + np.asarray(r, dtype=float) ** 2, None,
-                          1.0, 1.0, C)
+        bb = BihariBound(lambda r: 1.0 + np.asarray(r, dtype=float) ** 2, 1.0, C)
     exact = (np.arctan(C * (1.0 + s)) - math.atan(2.0 * C)) / (2.0 * C)
     np.testing.assert_allclose(bb.gamma(s), exact, rtol=1e-12, atol=1e-15)
     with pytest.raises(IterationError):
@@ -379,7 +377,7 @@ def test_gamma_matches_closed_forms_on_both_sides_of_one():
     lambda s: 1.0 + np.sqrt(np.asarray(s, dtype=float)),
 ])
 def test_curve_inverts_gamma(ell):
-    bb = bihari_bound(ell, None, 3.0, 2.0, 1.7)
+    bb = BihariBound(ell, 3.0, 1.7)
     ts = np.linspace(0.0, 2.0, 33)
     curve = bb.curve(ts)
     assert np.all(np.diff(curve) > 0.0)
@@ -414,3 +412,12 @@ def test_dissipative_paths_below_envelope(kinetic):
     assert rep.all_below
     assert np.all(rep.C_env > 1.0)
     assert np.all(rep.eta_T > 0.0)
+
+
+def test_envelope_check_rejects_a_drift_beyond_its_declared_growth(kinetic):
+    # b = 2y pushes |Y| outward, breaking the growth that the dissipative
+    # spec's ell declares, so the measured energy must cross the envelope
+    b = replace(build_drift("dissipative", 1, 1), fn=lambda t, x, y: 2.0 * y)
+    rep = dissipation_envelope(kinetic, b, [0.5, 1.0], 2.0, 256, 200, seed=21)
+    assert rep.n_blowups == 0
+    assert not rep.all_below
