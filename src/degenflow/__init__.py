@@ -27,7 +27,7 @@ from .regularization import (FieldGrid, FunctionField, GridSpec, field_grad2,
                              find_contraction_lambda, galerkin_compare, picard_solve,
                              resolvent_apply, theta_forward, theta_inverse)
 from .sde import (BihariBound, coarsen_noise, cutoff_drift, dissipation_envelope,
-                  integrate_ensemble, integrate_mild, make_noise, noise_from_bundle,
+                  integrate_ensemble, make_noise, noise_from_bundle,
                   representation_residual, uniqueness_experiment)
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -475,20 +475,9 @@ class ScalingFit:
     low_budget: bool
 
 
-def _default_probes(dim: int, n: int = 8, radius: float = 2.0) -> np.ndarray:
-    from scipy.stats import qmc
-    pts = qmc.Halton(d=dim, scramble=False).random(n)
-    pts = radius * (2.0 * pts - 1.0)
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    over = norms[:, 0] > radius
-    pts[over] *= radius / norms[over]
-    return pts
-
-
 def scaling_exponent(model: SpectralModel, f: Callable, component: str,
-                     gaps: Sequence[float], budget: int,
-                     probes: Optional[np.ndarray] = None, seed: int = 0,
-                     n_steps: int = 128) -> ScalingFit:
+                     gaps: Sequence[float], budget: int, probes: np.ndarray,
+                     seed: int = 0, n_steps: int = 128) -> ScalingFit:
     """Fitted slope of log sup_z |grad P^0_{0,gap} f| against log gap.
 
     The sup is taken over a small probe set (a lower bound of the true
@@ -503,8 +492,6 @@ def scaling_exponent(model: SpectralModel, f: Callable, component: str,
         raise ValueError("component must be 'x' or 'y'")
     v = np.zeros(model.dim)
     v[0 if component == "x" else model.m] = 1.0
-    if probes is None:
-        probes = _default_probes(model.dim)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     n = max(2, int(budget) // (gaps.size * probes.shape[0]))
     low = n < 100

@@ -20,7 +20,7 @@ import numpy as np
 
 from .regularization import FieldGrid
 from .linear_flow import PathBundle
-from .sde import MildTrajectory
+from .sde import EnsembleTrajectories
 
 MAGIC = b"DGFB"
 VERSION = 1
@@ -137,31 +137,38 @@ def load_field(path) -> FieldGrid:
 
 # -- trajectories -------------------------------------------------------------
 
-def save_trajectory(traj: MildTrajectory, path) -> None:
+def save_trajectory(traj: EnsembleTrajectories, path) -> None:
+    """Write a one-path ensemble; an ensemble of more paths is a ValueError."""
+    if traj.n_paths != 1:
+        raise ValueError(f"save_trajectory writes one path, got {traj.n_paths}")
+    blow = float(traj.blowup_times[0])
+    blew = bool(np.isfinite(blow))
     meta = {
         "dims": {"n_steps": traj.n_steps, "m": traj.m,
                  "dim": traj.Z.shape[-1], "k": traj.dW.shape[-1]},
         "grid": [float(traj.times[0]), float(traj.times[-1])],
         "seed": traj.seed if traj.seed is not None else -1,
         "stream": traj.stream,
-        "blew_up": bool(traj.blew_up),
-        "blowup_time": traj.blowup_time,
+        "blew_up": blew,
+        "blowup_time": blow if blew else None,
     }
-    arrays = [("times", traj.times), ("Z", traj.Z), ("dW", traj.dW),
-              ("eta", traj.eta)]
+    arrays = [("times", traj.times), ("Z", traj.Z[0]), ("dW", traj.dW[0]),
+              ("eta", traj.eta[0])]
     _atomic_write(path, _pack("mild_trajectory", meta, arrays))
 
 
-def load_trajectory(path) -> MildTrajectory:
+def load_trajectory(path) -> EnsembleTrajectories:
+    """Read a trajectory file as a one-path ensemble."""
     header, arrays = _unpack(path)
     if header["kind"] != "mild_trajectory":
         raise ValueError(f"{path}: expected a mild_trajectory, got {header['kind']}")
     seed = int(header["seed"])
-    return MildTrajectory(times=arrays["times"], Z=arrays["Z"], dW=arrays["dW"],
-                          eta=arrays["eta"], blew_up=bool(header["blew_up"]),
-                          blowup_time=header["blowup_time"], m=int(header["dims"]["m"]),
-                          seed=None if seed < 0 else seed,
-                          stream=header.get("stream", ""))
+    blow = header["blowup_time"]
+    return EnsembleTrajectories(
+        times=arrays["times"], Z=arrays["Z"][None], dW=arrays["dW"][None],
+        eta=arrays["eta"][None], blowup_times=np.array([np.nan if blow is None else blow]),
+        m=int(header["dims"]["m"]), seed=None if seed < 0 else seed,
+        stream=header.get("stream", ""))
 
 
 # -- CSV ----------------------------------------------------------------------

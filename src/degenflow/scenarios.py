@@ -185,13 +185,15 @@ def _run_picard_lambda_sweep(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     lams = np.array([r[0] for r in rows])
     hnorm = np.array([r[3] for r in rows])
     slope = float(np.polyfit(np.log(lams), np.log(hnorm), 1)[0])
+    factor = (f"{last_report.contraction_factor:.3f}" if last_report.valid_factors
+              else f"not measurable (no factor above the residual floor in "
+                   f"{last_report.iterations} iterations)")
     return [
         _anchor_line("field-norm-sqrt-decay",
                      f"fixed-point norm slope {slope:+.3f} over lambda in "
                      f"[{lams[0]:g}, {lams[-1]:g}] (expected -1/2)"),
         _anchor_line("picard-contraction-half",
-                     f"median contraction factor at lambda={lams[-1]:g}: "
-                     f"{rows[-1][5]:.3f}"),
+                     f"median contraction factor at lambda={lams[-1]:g}: {factor}"),
     ]
 
 
@@ -211,6 +213,9 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
                           f"{_GALERKIN_LEVELS[-1]} and needs as many modes, got {model.d}")
     n_ref = min(n_ref, model.d)
     amp = cfg.knob("amplitude")
+    if amp == 0:
+        raise ConfigError("experiment.amplitude: galerkin_wave needs a nonzero drift "
+                          "amplitude (a zero drift has an all-zero field and no gaps)")
 
     def mode_drift(i):
         return lambda t, x, y: amp * np.tanh(x + y)
@@ -295,9 +300,8 @@ def _run_representation_residual(cfg: ScenarioConfig, outdir: Path) -> List[str]
                          ("rough", b_rough, f_rough)):
         prev = None
         for n, ens in zip(steps, ensembles[name]):
-            res = float(np.mean([
-                sde.representation_residual(model, b, ens.path(p), fld, lam).max_residual
-                for p in range(n_paths)]))
+            res = float(np.mean(
+                sde.representation_residual(model, b, ens, fld, lam).max_residual))
             ratio = (prev / res) if prev else float("nan")
             rows.append([name, n, res, ratio])
             prev = res

@@ -43,7 +43,6 @@ from .streams import stream_name, substream
 
 __all__ = [
     "NoiseRecord",
-    "MildTrajectory",
     "EnsembleTrajectories",
     "UniquenessRow",
     "UniquenessTable",
@@ -53,7 +52,6 @@ __all__ = [
     "make_noise",
     "noise_from_bundle",
     "coarsen_noise",
-    "integrate_mild",
     "integrate_ensemble",
     "cutoff_drift",
     "uniqueness_experiment",
@@ -166,42 +164,31 @@ def coarsen_noise(model: SpectralModel, noise: NoiseRecord, factor: int) -> Nois
 
 
 @dataclass(frozen=True)
-class MildTrajectory:
-    times: np.ndarray   # (N+1,)
-    Z: np.ndarray       # (N+1, m+d)
-    dW: np.ndarray      # (N, k)
-    eta: np.ndarray     # (N, m+d)
-    blew_up: bool
-    blowup_time: Optional[float]
-    m: int
-    seed: Optional[int] = None
-    stream: str = ""
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.Z[:, : self.m]
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self.Z[:, self.m:]
-
-    @property
-    def n_steps(self) -> int:
-        return self.dW.shape[0]
-
-
-@dataclass(frozen=True)
 class EnsembleTrajectories:
+    """Paths of one integration on a shared grid; a single trajectory is the
+    one-path ensemble.
+
+    ``seed`` and ``stream`` name the record when ``integrate_ensemble`` drew
+    it from a seed, and are None and "" otherwise (``path`` drops them: one
+    path of a larger record is not reproducible from the seed alone).
+    """
+
     times: np.ndarray       # (N+1,)
     Z: np.ndarray           # (P, N+1, m+d)
     dW: np.ndarray          # (P, N, k)
     eta: np.ndarray         # (P, N, m+d)
     blowup_times: np.ndarray  # (P,), nan where no blow-up
     m: int
+    seed: Optional[int] = None
+    stream: str = ""
 
     @property
     def n_paths(self) -> int:
         return self.Z.shape[0]
+
+    @property
+    def n_steps(self) -> int:
+        return self.dW.shape[1]
 
     @property
     def X(self) -> np.ndarray:
@@ -211,12 +198,11 @@ class EnsembleTrajectories:
     def Y(self) -> np.ndarray:
         return self.Z[:, :, self.m:]
 
-    def path(self, p: int) -> MildTrajectory:
-        blew = bool(np.isfinite(self.blowup_times[p]))
-        return MildTrajectory(times=self.times, Z=self.Z[p], dW=self.dW[p],
-                              eta=self.eta[p], blew_up=blew,
-                              blowup_time=float(self.blowup_times[p]) if blew else None,
-                              m=self.m)
+    def path(self, p: int) -> EnsembleTrajectories:
+        """Path p as a one-path ensemble."""
+        return EnsembleTrajectories(times=self.times, Z=self.Z[p, None],
+                                    dW=self.dW[p, None], eta=self.eta[p, None],
+                                    blowup_times=self.blowup_times[p, None], m=self.m)
 
 
 def _resolve_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
@@ -245,9 +231,10 @@ def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
     Per step: z' = E z + J inj b(t, z) + eta, with E the exact block flow,
     J the integrated exponential, and eta the recorded exact noise
     convolution.  ``noise`` is a NoiseRecord on this grid, or a seed for
-    ``make_noise`` (a PathBundle's record is ``noise_from_bundle``).  Paths
-    whose state norm exceeds ``threshold`` freeze at their exit value with
-    the exit time recorded.
+    ``make_noise`` (a PathBundle's record is ``noise_from_bundle``), which
+    the result then records with its stream.  Paths whose state norm
+    exceeds ``threshold`` freeze at their exit value with the exit time
+    recorded.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -285,20 +272,10 @@ def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
                 alive[ids] = False
                 n_alive -= ids.size
         Z[:, i + 1, :] = z
+    seed = None if isinstance(noise, NoiseRecord) else int(noise)
     return EnsembleTrajectories(times=times, Z=Z, dW=rec.dW, eta=rec.eta,
-                                blowup_times=blow_t, m=model.m)
-
-
-def integrate_mild(model: SpectralModel, b: DriftSpec, z0, T: float, n_steps: int,
-                   noise: Union[int, NoiseRecord],
-                   threshold: float = BLOWUP_THRESHOLD) -> MildTrajectory:
-    """Single-trajectory exponential-Euler integration (see integrate_ensemble)."""
-    ens = integrate_ensemble(model, b, z0, T, n_steps, noise=noise, n_paths=1,
-                             threshold=threshold)
-    traj = ens.path(0)
-    if isinstance(noise, int):
-        traj = replace(traj, seed=noise, stream=stream_name("sde", "noise"))
-    return traj
+                                blowup_times=blow_t, m=model.m, seed=seed,
+                                stream="" if seed is None else stream_name("sde", "noise"))
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +376,19 @@ def uniqueness_experiment(model: SpectralModel, b: DriftSpec, z0,
 
 
 def _scan(M: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """x_k = x_{k-1} M* + c_k along axis 0, with x_0 = c_0.
+    """x_k = x_{k-1} M* + c_k along axis -2, with x_0 = c_0.
 
     Log-depth doubling: after the pass with shift s, x_k sums
     c_{k-j} (M^j)* over j < 2s, so log2(n) products by M, M^2, M^4, ...
     finish the recursion.  Only non-negative powers of M appear, which
-    keeps the scan as stable as the step-by-step loop.
+    keeps the scan as stable as the step-by-step loop.  Leading axes are
+    independent recursions, each one matrix product per pass.
     """
     x = np.array(c, dtype=float)
     P = M
     s = 1
-    while s < x.shape[0]:
-        x[s:] += x[:-s] @ P.T
+    while s < x.shape[-2]:
+        x[..., s:, :] += x[..., :-s, :] @ P.T
         P = P @ P
         s *= 2
     return x
@@ -418,53 +396,56 @@ def _scan(M: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    max_residual: float
-    per_time: np.ndarray
+    max_residual: np.ndarray  # (P,)
+    per_time: np.ndarray      # (P, N+1)
     times: np.ndarray
 
 
 def representation_residual(model: SpectralModel, b: DriftSpec,
-                            trajectory: MildTrajectory, field: FieldGrid,
+                            trajectory: EnsembleTrajectories, field: FieldGrid,
                             lam: float) -> ResidualReport:
-    """Max over the grid of |LHS - RHS| of the representation identity.
+    """Per path, the max over the grid of |LHS - RHS| of the representation
+    identity.
 
     The Lebesgue integral uses the trapezoid rule on the trajectory grid;
     the noise convolution part of the stochastic integral composes the
     recorded per-step convolutions exactly, and the field-gradient part is a
-    left-point sum with the recorded raw increments.  The trajectory must
-    stay inside the field's box.
+    left-point sum with the recorded raw increments.  Every path must stay
+    inside the field's box.
     """
     Zt = trajectory.Z
+    times = trajectory.times
     lo, hi = field.lo, field.hi
-    inside = np.all((Zt >= lo - 1e-12) & (Zt <= hi + 1e-12), axis=-1)
+    inside = np.all((Zt >= lo - 1e-12) & (Zt <= hi + 1e-12), axis=(0, -1))
     if not np.all(inside):
         k = int(np.argmin(inside))
-        raise CoverageError(
-            f"trajectory exits the field box at t={trajectory.times[k]:.6g}")
-    times = trajectory.times
-    N = trajectory.n_steps
+        raise CoverageError(f"trajectory exits the field box at t={times[k]:.6g}")
+    P, N = trajectory.n_paths, trajectory.n_steps
     h = float(times[1] - times[0])
     m, d = model.m, model.d
     A2 = model.A2
     E2 = _expm(A2 * h)
 
-    uvals = field.interp_many(times, Zt)                      # (N+1, d)
-    jacs = field.jacobian_y_many(times[:-1], Zt[:-1])         # (N, d, d)
-    q = uvals @ (lam * np.eye(d) - A2).T                      # (N+1, d)
+    # one field query over all paths x times, path-major
+    uvals = field.interp_many(np.tile(times, P),
+                              Zt.reshape(-1, model.dim)).reshape(P, N + 1, d)
+    jacs = field.jacobian_y_many(np.tile(times[:-1], P),
+                                 Zt[:, :-1].reshape(-1, model.dim)).reshape(P, N, d, d)
+    q = uvals @ (lam * np.eye(d) - A2).T                      # (P, N+1, d)
     sig = np.stack([model.sigma_at(t) for t in times[:-1].tolist()])
-    grad_term = (jacs @ (sig @ trajectory.dW[..., None]))[..., 0]   # (N, d)
+    grad_term = (jacs @ (sig @ trajectory.dW[..., None]))[..., 0]   # (P, N, d)
 
     # every term of the right-hand side but -u_k propagates through E2 per
     # step, so one accumulator acc_k = acc_{k-1} E2* + inc_k carries them all
     Y = trajectory.Y
-    inc = np.empty((N + 1, d))
-    inc[0] = Y[0] + uvals[0]
-    inc[1:] = ((0.5 * h * q[:-1] + grad_term) @ E2.T + 0.5 * h * q[1:]
-               + trajectory.eta[:, m:])
+    inc = np.empty((P, N + 1, d))
+    inc[:, 0] = Y[:, 0] + uvals[:, 0]
+    inc[:, 1:] = ((0.5 * h * q[:, :-1] + grad_term) @ E2.T + 0.5 * h * q[:, 1:]
+                  + trajectory.eta[:, :, m:])
     rhs = _scan(E2, inc) - uvals
-    residual = np.zeros(N + 1)
-    residual[1:] = np.linalg.norm(Y[1:] - rhs[1:], axis=-1)
-    return ResidualReport(max_residual=float(np.max(residual)),
+    residual = np.zeros((P, N + 1))
+    residual[:, 1:] = np.linalg.norm(Y[:, 1:] - rhs[:, 1:], axis=-1)
+    return ResidualReport(max_residual=np.max(residual, axis=1),
                           per_time=residual, times=times)
 
 

@@ -94,7 +94,9 @@ def test_knob_value_of_wrong_type_rejected(tmp_path, scenario, key, value):
     ({"experiment": {"scenario": scenario, "seed": 1, key: value}}, f"experiment.{key}")
     for scenario, key, value in OUT_OF_RANGE] + [
     ({"model": {"kind": "wave", "n": 4},
-      "experiment": {"scenario": "galerkin_wave", "seed": 1}}, "model.n")])
+      "experiment": {"scenario": "galerkin_wave", "seed": 1}}, "model.n"),
+    ({"experiment": {"scenario": "galerkin_wave", "seed": 1, "amplitude": 0.0}},
+     "experiment.amplitude")])
 def test_run_out_of_range_exits_2_without_traceback(tmp_path, raw, field):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump(raw))

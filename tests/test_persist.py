@@ -3,6 +3,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from degenflow.linear_flow import sample_linear
 from degenflow.model import build_drift
@@ -10,7 +11,7 @@ from degenflow.persist import (bundle_to_csv, estimates_to_csv, load_bundle,
                                load_field, load_trajectory, save_bundle,
                                save_field, save_trajectory, write_csv)
 from degenflow.regularization import GridSpec, picard_solve
-from degenflow.sde import integrate_mild
+from degenflow.sde import integrate_ensemble
 
 
 def test_bundle_round_trip(kinetic, tmp_path):
@@ -45,15 +46,35 @@ def test_field_round_trip(kinetic, tmp_path):
 
 def test_trajectory_round_trip(kinetic, tmp_path):
     b = build_drift("dissipative", 1, 1)
-    traj = integrate_mild(kinetic, b, [0.2, 0.3], 1.0, 16, noise=9)
+    traj = integrate_ensemble(kinetic, b, [0.2, 0.3], 1.0, 16, noise=9)
     path = tmp_path / "traj.dgfb"
     save_trajectory(traj, path)
     back = load_trajectory(path)
+    np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.Z, traj.Z)
     np.testing.assert_array_equal(back.dW, traj.dW)
     np.testing.assert_array_equal(back.eta, traj.eta)
-    assert back.blew_up == traj.blew_up
+    np.testing.assert_array_equal(back.blowup_times, traj.blowup_times)
+    assert (back.seed, back.stream) == (9, "sde/noise") == (traj.seed, traj.stream)
     assert back.m == traj.m
+
+
+def test_trajectory_round_trip_keeps_a_blowup_and_one_path_only(kinetic, tmp_path):
+    from degenflow.model import DriftSpec, Modulus
+    explosive = DriftSpec(fn=lambda t, x, y: y ** 3, m=1, d=1, alpha=0.75,
+                          phi=Modulus.power(1.0, 0.5), K=1.0, bound=None)
+    ens = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 64, noise=1,
+                             n_paths=2, threshold=1e6)
+    assert np.all(np.isfinite(ens.blowup_times))
+    path = tmp_path / "traj.dgfb"
+    with pytest.raises(ValueError):
+        save_trajectory(ens, path)
+    assert not path.exists()
+    save_trajectory(ens.path(1), path)
+    back = load_trajectory(path)
+    np.testing.assert_array_equal(back.Z, ens.Z[1:])
+    np.testing.assert_array_equal(back.blowup_times, ens.blowup_times[1:])
+    assert (back.seed, back.stream) == (None, "")
 
 
 def test_bundle_csv(kinetic, tmp_path):

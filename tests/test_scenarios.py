@@ -69,3 +69,14 @@ def test_catalog_has_exactly_eight_scenarios():
     for info in SCENARIOS.values():
         assert info.anchor in ANCHORS
         assert info.description
+
+
+def test_picard_sweep_names_an_unmeasurable_contraction_factor(tmp_path):
+    # at base_points 1 the solves converge before any factor clears the
+    # residual floor, so there is no median to print
+    raw = {"experiment": {"scenario": "picard_lambda_sweep", "seed": 1, "base_points": 1}}
+    lines = run_scenario(ScenarioConfig(raw=raw), tmp_path)
+    claim = [ln for ln in lines if ln.startswith("[picard-contraction-half]")]
+    assert len(claim) == 1
+    assert "not measurable" in claim[0] and "iterations" in claim[0]
+    assert "0.000" not in claim[0]

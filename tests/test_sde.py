@@ -15,7 +15,7 @@ from degenflow.model import SpectralModel, _expm, build_drift, build_example
 from degenflow.regularization import FunctionField, GridSpec, picard_solve
 from degenflow.sde import (BihariBound, coarsen_noise, cutoff_drift,
                            dissipation_envelope, integrate_ensemble,
-                           integrate_mild, make_noise, noise_from_bundle,
+                           make_noise, noise_from_bundle,
                            representation_residual, uniqueness_experiment)
 from degenflow.streams import substream
 
@@ -34,11 +34,11 @@ def _skewed_model():
 def test_zero_drift_zero_noise_is_deterministic_flow():
     model, _ = build_example("kinetic", d=1, sigma=np.zeros((1, 1)))
     b = build_drift("zero", 1, 1)
-    traj = integrate_mild(model, b, [1.0, 2.0], 1.0, 16, noise=0)
+    traj = integrate_ensemble(model, b, [1.0, 2.0], 1.0, 16, noise=0)
     kinetic, _ = build_example("kinetic", d=1)
     expected = transition_law(kinetic, 0.0, 1.0, [1.0, 2.0]).mean
-    np.testing.assert_allclose(traj.Z[-1], expected, rtol=1e-14)
-    assert not traj.blew_up
+    np.testing.assert_allclose(traj.Z[0, -1], expected, rtol=1e-14)
+    assert np.isnan(traj.blowup_times[0])
 
 
 def test_zero_drift_reproduces_linear_bundle_exactly(kinetic):
@@ -81,10 +81,9 @@ def test_blowup_recorded_not_raised(kinetic):
     from degenflow.model import DriftSpec, Modulus
     explosive = DriftSpec(fn=lambda t, x, y: y ** 3, m=1, d=1, alpha=0.75,
                           phi=Modulus.power(1.0, 0.5), K=1.0, bound=None)
-    traj = integrate_mild(kinetic, explosive, [0.0, 6.0], 4.0, 256, noise=1,
-                          threshold=1e6)
-    assert traj.blew_up
-    assert traj.blowup_time is not None
+    traj = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 256, noise=1,
+                              threshold=1e6)
+    assert np.isfinite(traj.blowup_times[0])
     # frozen after exit: finite everywhere
     assert np.all(np.isfinite(traj.Z))
 
@@ -240,9 +239,9 @@ def test_representation_residual_zero_drift_tiny(kinetic):
     b = build_drift("zero", 1, 1)
     grid = GridSpec.cube(2, half_width=8.0, points=9, t_final=1.0, n_time=9)
     field, _ = picard_solve(kinetic, b, 32.0, grid)
-    traj = integrate_mild(kinetic, b, [0.1, 0.2], 1.0, 64, noise=5)
+    traj = integrate_ensemble(kinetic, b, [0.1, 0.2], 1.0, 64, noise=5)
     rep = representation_residual(kinetic, b, traj, field, 32.0)
-    assert rep.max_residual <= 1e-8
+    assert rep.max_residual[0] <= 1e-8
 
 
 def test_representation_residual_constant_drift_order(kinetic):
@@ -256,9 +255,7 @@ def test_representation_residual_constant_drift_order(kinetic):
     for n in (128, 256, 512):
         cn = coarsen_noise(kinetic, noise, 512 // n)
         ens = integrate_ensemble(kinetic, b, [0.2, 0.1], T, n, noise=cn)
-        res = np.mean([representation_residual(kinetic, b, ens.path(p), field,
-                                               lam).max_residual
-                       for p in range(4)])
+        res = np.mean(representation_residual(kinetic, b, ens, field, lam).max_residual)
         residuals.append(res)
     # empirical order >= 0.5 means ratios >= sqrt(2); trapezoid gives ~4
     assert residuals[0] / residuals[1] >= math.sqrt(2.0)
@@ -266,22 +263,23 @@ def test_representation_residual_constant_drift_order(kinetic):
 
 
 def _stepwise_residual(model, traj, field, lam):
-    """The representation residual by the plain per-step recursion."""
+    """The representation residual of a one-path ensemble by the plain
+    per-step recursion."""
     times, N, m, d = traj.times, traj.n_steps, model.m, model.d
+    Z, dW, eta, Y = traj.Z[0], traj.dW[0], traj.eta[0], traj.Y[0]
     h = float(times[1] - times[0])
     E2 = _expm(model.A2 * h)
-    uvals = field.interp_many(times, traj.Z)
-    jacs = field.jacobian_y_many(times[:-1], traj.Z[:-1])
+    uvals = field.interp_many(times, Z)
+    jacs = field.jacobian_y_many(times[:-1], Z[:-1])
     q = uvals @ (lam * np.eye(d) - model.A2).T
-    sig_dw = np.array([model.sigma_at(float(times[i])) @ traj.dW[i] for i in range(N)])
+    sig_dw = np.array([model.sigma_at(float(times[i])) @ dW[i] for i in range(N)])
     grad_term = np.einsum("iaj,ij->ia", jacs, sig_dw)
-    Y = traj.Y
     residual = np.zeros(N + 1)
     leb, sto = np.zeros(d), np.zeros(d)
     etY0, etu0 = Y[0].copy(), uvals[0].copy()
     for k in range(1, N + 1):
         leb = leb @ E2.T + 0.5 * h * (q[k - 1] @ E2.T + q[k])
-        sto = sto @ E2.T + traj.eta[k - 1, m:] + grad_term[k - 1] @ E2.T
+        sto = sto @ E2.T + eta[k - 1, m:] + grad_term[k - 1] @ E2.T
         etY0 = etY0 @ E2.T
         etu0 = etu0 @ E2.T
         residual[k] = np.linalg.norm(Y[k] - (etY0 + etu0 - uvals[k] + leb + sto))
@@ -303,21 +301,39 @@ def test_residual_matches_stepwise_recursion():
             (1.0 - ts)[:, None, None]
             * np.cos(pts[:, m:] @ mix.T + pts[:, :1])[:, :, None] * mix[None])
         field = FunctionField(u_fn, model.m, d, jac_fn=jac_fn)
-        traj = integrate_mild(model, b, np.full(model.dim, 0.2), 1.0, 200, noise=4)
+        z0 = np.full(model.dim, 0.2)
+        traj = integrate_ensemble(model, b, z0, 1.0, 200, noise=4)
         rep = representation_residual(model, b, traj, field, 16.0)
         expected = _stepwise_residual(model, traj, field, 16.0)
-        assert rep.per_time[0] == 0.0
+        assert rep.per_time[0, 0] == 0.0
         assert np.max(expected) > 1e-3  # the field is not a solution: O(1) residual
-        np.testing.assert_allclose(rep.per_time, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rep.per_time[0], expected, rtol=0.0, atol=1e-12)
+        # a 3-path ensemble in one call: each path on its own recursion
+        ens = integrate_ensemble(model, b, z0, 1.0, 200, noise=8, n_paths=3)
+        rep = representation_residual(model, b, ens, field, 16.0)
+        np.testing.assert_array_equal(rep.max_residual, np.max(rep.per_time, axis=1))
+        for p in range(3):
+            np.testing.assert_allclose(rep.per_time[p],
+                                       _stepwise_residual(model, ens.path(p), field, 16.0),
+                                       rtol=0.0, atol=1e-12)
+            # each path runs the matrix products of its own one-path call
+            alone = representation_residual(model, b, ens.path(p), field, 16.0)
+            np.testing.assert_array_equal(rep.per_time[p], alone.per_time[0])
 
 
 def test_representation_coverage_error(kinetic):
     b = build_drift("zero", 1, 1)
     grid = GridSpec.cube(2, half_width=0.5, points=9, t_final=1.0, n_time=5)
     field, _ = picard_solve(kinetic, b, 32.0, grid)
-    traj = integrate_mild(kinetic, b, [0.0, 2.0], 1.0, 32, noise=3)
+    traj = integrate_ensemble(kinetic, b, [0.0, 2.0], 1.0, 32, noise=3)
     with pytest.raises(CoverageError):
         representation_residual(kinetic, b, traj, field, 32.0)
+    # over an ensemble the error names the first time any path is outside
+    ens = integrate_ensemble(kinetic, b, [0.0, 0.2], 1.0, 32, noise=3, n_paths=4)
+    first = [int(np.argmax(np.any(np.abs(z) > 0.5, axis=1))) for z in ens.Z]
+    assert min(first) > 0 and len(set(first)) == 4
+    with pytest.raises(CoverageError, match=f"t={ens.times[min(first)]:.6g}$"):
+        representation_residual(kinetic, b, ens, field, 32.0)
 
 
 # ---------------------------------------------------------------------------
