@@ -5,7 +5,8 @@ Sections:
     experiment:  scenario name, root seed, budgets, sweep grids
     output:      dir, formats
     model:       kind + parameters, only for a scenario that declares it
-                 reads one (galerkin_wave, kind wave)
+                 reads one (galerkin_wave, kind wave), and only the keys the
+                 scenario catalog lists for it
     drift:       read by no shipped scenario, so always rejected
 
 A key or section the scenario does not read fails validation instead of
@@ -121,13 +122,18 @@ def validate_config(raw: dict) -> list:
                           "and does not read this section")
         if "model" in raw:
             model = raw["model"]
-            kind = model.get("kind", info.model_kind) if isinstance(model, dict) else model
             if info.model_kind is None:
                 errors.append(f"model: scenario {scenario!r} fixes its own model "
                               "and does not read this section")
-            elif kind != info.model_kind:
+            elif not isinstance(model, dict):
+                errors.append(f"model: must be a mapping, got {model!r}")
+            elif model.get("kind", info.model_kind) != info.model_kind:
                 errors.append(f"model.kind: scenario {scenario!r} builds a "
-                              f"{info.model_kind!r} model, got {kind!r}")
+                              f"{info.model_kind!r} model, got {model['kind']!r}")
+            else:
+                errors += [f"model.{key}: scenario {scenario!r} does not read this "
+                           f"key; known: {', '.join(info.model_keys)}"
+                           for key in model if key not in info.model_keys]
     if "seed" not in exp:
         errors.append("experiment.seed: missing (no silent nondeterminism)")
     elif type(exp["seed"]) is not int or exp["seed"] < 0:

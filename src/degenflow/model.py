@@ -638,9 +638,8 @@ def build_example(kind: str, **params):
             sigma=sigma, delta=delta, name="kinetic",
         )
         drift = build_drift(drift_tag, m=d, d=d, **drift_params)
-        return model, drift
 
-    if kind == "second_order":
+    elif kind == "second_order":
         d = int(params.pop("d", 1))
         A = np.atleast_2d(np.asarray(params.pop("A", np.zeros((d, d))), dtype=float))
         sigma = np.atleast_2d(np.asarray(params.pop("sigma", np.eye(d)), dtype=float))
@@ -662,12 +661,11 @@ def build_example(kind: str, **params):
             phi=wrapped_phi, bound=None,
             name=base.name + "+identity",
         )
-        return model, drift
 
-    if kind == "wave":
+    elif kind == "wave":
         theta = float(params.pop("theta"))
         d_space = int(params.pop("d_space", 1))
-        n_modes = int(params.pop("n", params.pop("n_modes", 8)))
+        n_modes = int(params.pop("n", 8))
         if theta <= d_space / 2.0:
             raise HypothesisViolationError(
                 "H3", f"wave model needs theta > d_space/2 = {d_space / 2}, got {theta}")
@@ -687,27 +685,18 @@ def build_example(kind: str, **params):
             eigenvalues=lam, tail=tail, name=f"wave(theta={theta})",
         )
         drift = build_drift(drift_tag, m=n_modes, d=n_modes, **drift_params)
-        return model, drift
 
-    raise ValueError(f"unknown example kind {kind!r}")
-
-
-def modulus_from_tag(tag: str, **kw) -> Modulus:
-    """Select a built-in modulus family by its string tag."""
-    if tag == "power":
-        return Modulus.power(kw.get("K", 1.0), kw.get("alpha", 0.5))
-    if tag == "log_power":
-        return Modulus.log_power(kw.get("K", 1.0), kw.get("c", 100.0),
-                                 kw.get("r", 1.0))
-    if tag == "log_sqrt":
-        return Modulus.log_sqrt(kw.get("K", 1.0), kw.get("c", 100.0))
-    raise ValueError(f"unknown modulus family {tag!r}")
+    else:
+        raise ValueError(f"unknown example kind {kind!r}")
+    if params:
+        raise ValueError(f"{kind} example does not read {', '.join(sorted(params))}")
+    return model, drift
 
 
 def build_drift(tag: str, m: int, d: int, **kw) -> DriftSpec:
     """Built-in drift families with honestly declared regularity data."""
     if tag == "zero":
-        return DriftSpec(
+        spec = DriftSpec(
             fn=lambda t, x, y: np.zeros_like(y),
             m=m, d=d, alpha=0.75, phi=Modulus.power(1.0, 0.5), K=1.0,
             bound=0.0,
@@ -715,11 +704,11 @@ def build_drift(tag: str, m: int, d: int, **kw) -> DriftSpec:
             h=lambda s: 1.0 + 0.0 * np.asarray(s, dtype=float),
             name="zero")
 
-    if tag == "constant":
-        c = np.asarray(kw.get("value", np.ones(d)), dtype=float)
+    elif tag == "constant":
+        c = np.asarray(kw.pop("value", np.ones(d)), dtype=float)
         if c.shape != (d,):
             c = np.full(d, float(c))
-        return DriftSpec(
+        spec = DriftSpec(
             fn=lambda t, x, y: np.broadcast_to(c, y.shape),
             m=m, d=d, alpha=0.75, phi=Modulus.power(1.0, 0.5), K=1.0,
             bound=float(np.linalg.norm(c)),
@@ -727,46 +716,46 @@ def build_drift(tag: str, m: int, d: int, **kw) -> DriftSpec:
             h=lambda s: 1.0 + 0.0 * np.asarray(s, dtype=float),
             name="constant")
 
-    if tag == "dissipative":
+    elif tag == "dissipative":
         # b(x, y) = -y + cos(x~): <b(x, y+y'), y> <= (1+|x|^2+|y|^2)/2 + (1+|y'|^2)/2
         def fn(t, x, y):
             xa = x[..., :d] if x.shape[-1] >= d else np.broadcast_to(x, y.shape)
             return -y + np.cos(xa)
-        return DriftSpec(
+        spec = DriftSpec(
             fn=fn, m=m, d=d, alpha=0.75, phi=Modulus.power(1.0, 1.0), K=1.0,
             bound=None,
             ell=lambda s: 0.5 * (1.0 + np.asarray(s, dtype=float)),
             h=lambda s: 0.5 * (1.0 + np.asarray(s, dtype=float) ** 2),
             name="dissipative")
 
-    if tag == "rough_d1":
+    elif tag == "rough_d1":
         # componentwise |x|^0.75 sign(x) + sqrt(2|y|) sign(y); phi = sqrt(2 s) in D1
         def fn(t, x, y):
             xa = x[..., :d] if x.shape[-1] >= d else np.broadcast_to(x, y.shape)
             return (np.sign(xa) * np.abs(xa) ** 0.75
                     + np.sign(y) * np.sqrt(2.0 * np.abs(y)))
-        return DriftSpec(
+        spec = DriftSpec(
             fn=fn, m=m, d=d, alpha=0.75, phi=Modulus.power(2.0, 0.5), K=2.0,
             bound=None,
             ell=lambda s: 1.0 + 2.0 * np.asarray(s, dtype=float),
             h=lambda s: 1.0 + np.asarray(s, dtype=float) ** 2,
             name="rough_d1")
 
-    if tag == "rough_y":
+    elif tag == "rough_y":
         # sqrt-modulus roughness in y only; constant in x (trivially Holder)
         def fn(t, x, y):
             return np.sign(y) * np.sqrt(2.0 * np.abs(y))
-        return DriftSpec(
+        spec = DriftSpec(
             fn=fn, m=m, d=d, alpha=0.75, phi=Modulus.power(2.0, 0.5), K=1.0,
             bound=None,
             ell=lambda s: 1.0 + 2.0 * np.asarray(s, dtype=float),
             h=lambda s: 1.0 + np.asarray(s, dtype=float) ** 2,
             name="rough_y")
 
-    if tag == "tanh_steep":
-        kappa = float(kw.get("kappa", 64.0))
-        amp = float(kw.get("amp", 1.0))
-        return DriftSpec(
+    elif tag == "tanh_steep":
+        kappa = float(kw.pop("kappa", 64.0))
+        amp = float(kw.pop("amp", 1.0))
+        spec = DriftSpec(
             fn=lambda t, x, y: amp * np.tanh(kappa * y),
             m=m, d=d, alpha=0.75, phi=Modulus.power(max(1.0, amp * math.sqrt(kappa)), 0.5),
             K=1.0, bound=amp * math.sqrt(d),
@@ -774,4 +763,8 @@ def build_drift(tag: str, m: int, d: int, **kw) -> DriftSpec:
             h=lambda s: 1.0 + 0.0 * np.asarray(s, dtype=float),
             name=f"tanh_steep(kappa={kappa})")
 
-    raise ValueError(f"unknown drift family {tag!r}")
+    else:
+        raise ValueError(f"unknown drift family {tag!r}")
+    if kw:
+        raise ValueError(f"drift family {tag!r} does not read {', '.join(sorted(kw))}")
+    return spec

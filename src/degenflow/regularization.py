@@ -100,6 +100,10 @@ class GridSpec:
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or len(self.lo) != len(self.shape):
             raise ValueError("lo, hi, shape must have equal length")
+        if not all(math.isfinite(l) and math.isfinite(h) and l < h
+                   for l, h in zip(self.lo, self.hi)):
+            raise ValueError(f"box must be finite with lo < hi on every axis, "
+                             f"got lo={self.lo}, hi={self.hi}")
         if any(n < 2 for n in self.shape):
             raise ValueError("need at least 2 points per axis")
         if self.n_time < 2:
@@ -219,23 +223,12 @@ class FieldGrid:
     def jacobian_y_many(self, times_q, pts) -> np.ndarray:
         """Vectorized y-Jacobians at grid resolution: (n, d, d).
 
-        Stencils clipped at the box collapse to one-sided silently (batch
-        mode); use field_grad2 for the warning-carrying pointwise variant.
+        Central differences one cell wide, one-sided (with a
+        BoundaryExtrapolationWarning) within one cell of a y-edge of the box;
+        see _difference_jacobian.
         """
-        pts = np.clip(np.atleast_2d(np.asarray(pts, dtype=float)), self.lo, self.hi)
-        n = pts.shape[0]
-        h = self.spacing()
-        J = np.empty((n, self.d, self.d))
-        for j in range(self.d):
-            ax = self.m + j
-            zp = pts.copy()
-            zm = pts.copy()
-            zp[:, ax] = np.minimum(zp[:, ax] + h[ax], self.hi[ax])
-            zm[:, ax] = np.maximum(zm[:, ax] - h[ax], self.lo[ax])
-            denom = (zp[:, ax] - zm[:, ax])[:, None]
-            J[:, :, j] = (self.interp_many(times_q, zp)
-                          - self.interp_many(times_q, zm)) / denom
-        return J
+        return _difference_jacobian(self.interp_many, times_q, pts, range(self.m, self.dim),
+                                    self.spacing(), self.lo, self.hi)
 
     def sup_value(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=-1), initial=0.0))
@@ -287,65 +280,49 @@ class FunctionField:
         times_q = np.asarray(times_q, dtype=float).reshape(-1)
         if self.jac_fn is not None:
             return np.asarray(self.jac_fn(times_q, pts), dtype=float)
-        J = np.empty((pts.shape[0], self.d, self.d))
-        for j in range(self.d):
-            zp = pts.copy()
-            zm = pts.copy()
-            zp[:, self.m + j] += _FD_STEP
-            zm[:, self.m + j] -= _FD_STEP
-            J[:, :, j] = (self.interp_many(times_q, zp)
-                          - self.interp_many(times_q, zm)) / (2.0 * _FD_STEP)
-        return J
+        return _difference_jacobian(self.interp_many, times_q, pts, range(self.m, self.dim),
+                                    np.full(self.dim, _FD_STEP), self.lo, self.hi)
 
 
-def field_grad2(field: FieldGrid, s: float, z) -> np.ndarray:
-    """Central-difference y-Jacobian of the field at (s, z), grid resolution.
+def _difference_jacobian(interp_many: Callable, times_q, pts, axes, h, lo, hi) -> np.ndarray:
+    """Difference Jacobian of interp_many(times_q, pts) -> (n, d) along each
+    coordinate in axes: (n, d, len(axes)).
 
-    z must lie inside the box; within one cell of a y-boundary the stencil
-    falls back to one-sided and a BoundaryExtrapolationWarning is issued.
+    The points are clipped to the box [lo, hi].  Each column is a central
+    difference with step h[a]; within one step of the box the stencil is
+    one-sided, with one BoundaryExtrapolationWarning per axis that needs it.
+    The denominator is the actual span of the stencil.
     """
-    z = np.asarray(z, dtype=float).reshape(1, field.dim)
-    return _field_grad2_many(field, np.array([float(s)]), z)[0]
-
-
-def _field_grad2_many(field: FieldGrid, times_q: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """field_grad2 at each (times_q[n], pts[n]): (n, d, d), with the same
-    one-sided stencils and one warning per y-axis that needs them."""
-    h = field.spacing()
-    J = np.empty((pts.shape[0], field.d, field.d))
-    for j in range(field.d):
-        ax = field.m + j
-        hj = h[ax]
-        z = pts[:, ax]
-        near_hi = z + hj > field.hi[ax]
-        near_lo = ~near_hi & (z - hj < field.lo[ax])
-        one_sided = near_hi | near_lo
-        if np.any(one_sided):
-            warnings.warn(f"one-sided stencil at axis {ax} (within one cell of "
+    pts = np.clip(np.atleast_2d(np.asarray(pts, dtype=float)), lo, hi)
+    cols = []
+    for a in axes:
+        z = pts[:, a]
+        near_hi = z + h[a] > hi[a]
+        near_lo = ~near_hi & (z - h[a] < lo[a])
+        if np.any(near_hi | near_lo):
+            warnings.warn(f"one-sided stencil at axis {a} (within one step of "
                           "the boundary)", BoundaryExtrapolationWarning)
         zp = pts.copy()
         zm = pts.copy()
-        zp[:, ax] = np.where(near_hi, z, z + hj)
-        zm[:, ax] = np.where(near_lo, z, z - hj)
-        denom = np.where(one_sided, hj, 2.0 * hj)[:, None]
-        J[:, :, j] = (field.interp_many(times_q, zp)
-                      - field.interp_many(times_q, zm)) / denom
-    return J
+        zp[:, a] = np.where(near_hi, z, z + h[a])
+        zm[:, a] = np.where(near_lo, z, z - h[a])
+        cols.append((interp_many(times_q, zp) - interp_many(times_q, zm))
+                    / (zp[:, a] - zm[:, a])[:, None])
+    return np.stack(cols, axis=-1)
+
+
+def field_grad2(field: FieldGrid, s: float, z) -> np.ndarray:
+    """y-Jacobian (d x d) of the field at (s, z), grid resolution: one point
+    of FieldGrid.jacobian_y_many."""
+    return field.jacobian_y_many(np.array([float(s)]), np.reshape(z, (1, field.dim)))[0]
 
 
 def field_grad_full(field: FieldGrid, s: float, z) -> np.ndarray:
-    """Central-difference full Jacobian (d x dim) at (s, z)."""
-    z = np.asarray(z, dtype=float).reshape(field.dim)
-    h = field.spacing()
-    J = np.empty((field.d, field.dim))
-    for ax in range(field.dim):
-        hj = h[ax]
-        zp = z.copy()
-        zm = z.copy()
-        zp[ax] = min(zp[ax] + hj, field.hi[ax])
-        zm[ax] = max(zm[ax] - hj, field.lo[ax])
-        J[:, ax] = (field.interp(s, zp) - field.interp(s, zm))[0] / (zp[ax] - zm[ax])
-    return J
+    """Full Jacobian (d x dim) of the field at (s, z), grid resolution, by the
+    stencil of FieldGrid.jacobian_y_many along every axis."""
+    return _difference_jacobian(field.interp_many, np.array([float(s)]),
+                                np.reshape(z, (1, field.dim)), range(field.dim),
+                                field.spacing(), field.lo, field.hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +732,7 @@ def galerkin_compare(model: SpectralModel, mode_drifts: Sequence[Callable],
             continue
         pts = np.repeat(probes[:, [i, n_ref + i]], times.size, axis=0)
         vals[:, :, i] = field.interp_many(tq, pts)[:, 0].reshape(n_p, -1)
-        ders[:, :, i] = _field_grad2_many(field, tq, pts)[:, 0, 0].reshape(n_p, -1)
+        ders[:, :, i] = field.jacobian_y_many(tq, pts)[:, 0, 0].reshape(n_p, -1)
 
     value_gaps = []
     grad_gaps = []
@@ -786,12 +763,10 @@ def holder_envelope_ratio(field: FieldGrid, phi: Modulus, delta: float,
     r_grid = np.geomspace(1e-6, 0.999, 40)
     dini_tail = np.array([dini_integral(phi, max(float(r) ** delta, 1e-12))
                           for r in r_grid])
-    out = []
-    for z, zp in pairs:
-        g = field_grad2(field, s, z)
-        gp = field_grad2(field, s, zp)
-        num = float(np.linalg.norm(g - gp, 2))
-        dist = float(np.linalg.norm(np.asarray(z) - np.asarray(zp)))
-        env = float(np.min(r_grid + dist * (1.0 + dini_tail)))
-        out.append(num / env)
-    return np.asarray(out)
+    pts = np.asarray(pairs, dtype=float).reshape(-1, 2, field.dim)
+    J = field.jacobian_y_many(np.full(2 * pts.shape[0], float(s)),
+                              pts.reshape(-1, field.dim)).reshape(-1, 2, field.d, field.d)
+    num = np.linalg.norm(J[:, 0] - J[:, 1], ord=2, axis=(-2, -1))
+    dist = np.linalg.norm(pts[:, 0] - pts[:, 1], axis=-1)
+    env = np.min(r_grid + dist[:, None] * (1.0 + dini_tail), axis=-1)
+    return num / env

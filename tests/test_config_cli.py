@@ -135,6 +135,27 @@ def test_unhonoured_section_rejected(tmp_path):
         assert len(errors) == 1 and errors[0].startswith(field)
 
 
+def test_unread_model_key_rejected(tmp_path):
+    raw = {"model": {"kind": "wave", "thta": 3.0, "drift": "rough_y"},
+           "experiment": {"scenario": "galerkin_wave", "seed": 5}}
+    errors = validate_config(raw)
+    assert [e.split(":")[0] for e in errors] == ["model.thta", "model.drift"]
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    code, _, err = _run_cli("validate", str(cfg))
+    assert code == 2 and "config error: model.thta: " in err
+    code, _, err = _run_cli("run", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert code == 2 and "model.thta" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # every key the scenario passes on validates, and a non-mapping section does not
+    info = SCENARIOS["galerkin_wave"]
+    values = {"kind": "wave", "theta": 1.0, "d_space": 1, "n": 8, "delta": 0.4}
+    assert set(values) == set(info.model_keys)
+    assert validate_config({"model": values, "experiment": raw["experiment"]}) == []
+    errors = validate_config({"model": "wave", "experiment": raw["experiment"]})
+    assert len(errors) == 1 and errors[0].startswith("model: must be a mapping")
+
+
 def test_shipped_configs_validate():
     for path in CONFIG_DIR.glob("*.yaml"):
         if path.name == "missing_seed.yaml":

@@ -135,6 +135,23 @@ def test_wave_delta_out_of_range_raises_h3():
         build_example("wave", theta=1.0, d_space=1, n=4, delta=0.6)
 
 
+def test_builders_reject_parameters_they_do_not_read():
+    for kind, params, bad in (("wave", {"theta": 1.0, "thta": 3.0}, "thta"),
+                              ("wave", {"theta": 1.0, "n_modes": 4}, "n_modes"),
+                              ("kinetic", {"d": 1, "n": 4}, "n"),
+                              ("second_order", {"d": 2, "theta": 1.0}, "theta")):
+        with pytest.raises(ValueError, match=bad):
+            build_example(kind, **params)
+    with pytest.raises(ValueError, match="kapa"):
+        build_example("kinetic", d=1, drift="tanh_steep", drift_params={"kapa": 4.0})
+    for tag, kw in (("rough_y", {"kappa": 4.0}), ("constant", {"vaule": 1.0}),
+                    ("zero", {"value": 1.0})):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            build_drift(tag, 1, 1, **kw)
+    b = build_drift("tanh_steep", 1, 1, kappa=4.0, amp=2.0)
+    assert b.bound == 2.0 and b.name == "tanh_steep(kappa=4.0)"
+
+
 # ---------------------------------------------------------------------------
 # Drift regularity
 
@@ -177,15 +194,6 @@ def test_declared_rough_drift_consistent_with_declaration():
     b = build_drift("rough_d1", 1, 1)
     v = validate_drift_regularity(b, ball_radius=2.0, n_samples=4000, seed=5)
     assert v <= 1e-10
-
-
-def test_modulus_from_tag_selects_families():
-    from degenflow.model import modulus_from_tag
-    assert modulus_from_tag("power", K=2.0, alpha=0.5).family == "power"
-    assert modulus_from_tag("log_power", c=150.0).family == "log_power"
-    assert modulus_from_tag("log_sqrt").family == "log_sqrt"
-    with pytest.raises(ValueError):
-        modulus_from_tag("unknown")
 
 
 def test_expm_on_a_stack_matches_each_matrix():

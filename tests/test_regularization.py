@@ -264,6 +264,82 @@ def test_full_gradient_shape(rough_solution):
     assert J.shape == (1, 2)
 
 
+def _curved_field():
+    """m = 1, d = 2 field with curvature in every coordinate and in time, on
+    [-2, 2]^3 with spacing 1/2 (dyadic, so z +- h and the spans are exact)."""
+    times = np.linspace(0.0, 1.0, 3)
+    axes = (np.linspace(-2.0, 2.0, 9),) * 3
+    x, y1, y2 = np.meshgrid(*axes, indexing="ij")
+    u = np.stack([y1 ** 2 + x * y2, np.sin(y1 * y2) + x ** 2], axis=-1)
+    vals = (1.0 + times)[:, None, None, None, None] * u[None]
+    return FieldGrid(times=times, axes=axes, values=vals, m=1, d=2)
+
+
+def test_difference_stencil_shared_by_every_jacobian():
+    field = _curved_field()
+    h = 0.5
+    s = 0.375
+    pts = np.array([[0.25, -0.75, 1.25], [-1.0, 0.5, -1.5],       # interior
+                    [0.5, 1.75, 0.25], [-0.25, -1.75, 0.75],      # near y1 edges
+                    [1.5, 0.25, 1.625], [0.0, -0.5, -1.875]])     # near y2 edges
+    with pytest.warns(BoundaryExtrapolationWarning) as rec:
+        J = field.jacobian_y_many(np.full(len(pts), s), pts)
+    # one warning per y-axis that needs a one-sided stencil
+    assert sorted(str(w.message).split(" (")[0] for w in rec) == [
+        "one-sided stencil at axis 1", "one-sided stencil at axis 2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryExtrapolationWarning)
+        for z, Jz in zip(pts, J):
+            np.testing.assert_array_equal(field_grad2(field, s, z), Jz)
+            np.testing.assert_array_equal(field_grad_full(field, s, z)[:, 1:], Jz)
+    for z, Jz in zip(pts, J):
+        for j, ax in enumerate((1, 2)):
+            zp, zm = z.copy(), z.copy()
+            if z[ax] + h > 2.0:          # one-sided backward at the upper edge
+                zp[ax], zm[ax], span = z[ax], z[ax] - h, h
+            elif z[ax] - h < -2.0:       # one-sided forward at the lower edge
+                zp[ax], zm[ax], span = z[ax] + h, z[ax], h
+            else:
+                zp[ax], zm[ax], span = z[ax] + h, z[ax] - h, 2.0 * h
+            expected = (field.interp(s, zp) - field.interp(s, zm))[0] / span
+            np.testing.assert_array_equal(Jz[:, j], expected)
+    # interior points need no one-sided stencil and warn nowhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(field.jacobian_y_many(np.full(2, s), pts[:2]),
+                                      J[:2])
+
+
+def test_function_field_jacobian_is_central_difference_at_fd_step():
+    from degenflow.regularization import _FD_STEP
+    fn = lambda ts, pts: np.stack([np.sin(pts[:, 1]) * pts[:, 2] + ts,
+                                   pts[:, 0] * np.cos(pts[:, 2])], axis=-1)
+    ff = FunctionField(fn, 1, 2)
+    ts = np.array([0.2, 0.7])
+    # the box is unbounded, so even far-out points take central stencils
+    pts = np.array([[0.3, 1.0, -0.5], [2.0, -1e3, 4e3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = ff.jacobian_y_many(ts, pts)
+    for j, ax in enumerate((1, 2)):
+        e = np.zeros(3)
+        e[ax] = _FD_STEP
+        span = (pts + e)[:, ax] - (pts - e)[:, ax]
+        np.testing.assert_allclose(span, 2.0 * _FD_STEP, rtol=1e-6)
+        expected = (fn(ts, pts + e) - fn(ts, pts - e)) / span[:, None]
+        np.testing.assert_array_equal(J[:, :, j], expected)
+    np.testing.assert_allclose(J[0], [[math.cos(1.0) * -0.5, math.sin(1.0)],
+                                      [0.0, -0.3 * math.sin(-0.5)]], atol=1e-8)
+
+
+@pytest.mark.parametrize("lo,hi", [((2.0, 2.0), (-2.0, -2.0)), ((1.0, -1.0), (1.0, 1.0)),
+                                   ((-1.0, -math.inf), (1.0, 1.0)),
+                                   ((-1.0, math.nan), (1.0, 1.0))])
+def test_grid_spec_rejects_improper_box(lo, hi):
+    with pytest.raises(ValueError, match="lo < hi"):
+        GridSpec(lo=lo, hi=hi, shape=(5, 5), t_final=1.0, n_time=3)
+
+
 # ---------------------------------------------------------------------------
 # Transform
 
@@ -367,6 +443,14 @@ def test_holder_envelope_ratio_bounded(rough_solution):
             pairs.append((z, z + dz))
     ratios = holder_envelope_ratio(field, b.phi, model.delta, pairs, s=0.25)
     assert np.all(np.isfinite(ratios))
+    # the batched pairs give each pair's pointwise ratio
+    from degenflow.model import dini_integral
+    r = np.geomspace(1e-6, 0.999, 40)
+    tail = np.array([dini_integral(b.phi, max(float(v) ** model.delta, 1e-12)) for v in r])
+    for (z, zp), ratio in zip(pairs, ratios):
+        num = np.linalg.norm(field_grad2(field, 0.25, z) - field_grad2(field, 0.25, zp), 2)
+        env = np.min(r + np.linalg.norm(z - zp) * (1.0 + tail))
+        assert ratio == pytest.approx(num / env, rel=1e-12)
     # envelope check: no blow-up trend as the pair separation shrinks
     assert np.max(ratios) <= 10.0 * max(np.median(ratios), 1e-12)
 
