@@ -13,7 +13,8 @@ regularization   resolvent, fixed-point field, state transform, Galerkin
 sde              mild-solution integration, drift cutoffs, common-noise and
                  representation experiments, nonlinear Gronwall envelopes
 persist          columnar binary + CSV persistence
-cli              scenario runner (``degenflow run|list-scenarios|validate``)
+cli              scenario runner (``degenflow run|list-scenarios|validate``,
+                 or ``python -m degenflow``)
 """
 
 from .model import (DriftSpec, Modulus, SpectralModel, build_drift, build_example,

@@ -4,6 +4,8 @@
     degenflow list-scenarios [--machine]
     degenflow validate <config.yaml>
 
+``python -m degenflow`` runs the same commands without an installed script.
+
 The output directory resolves as --outdir > $DEGENFLOW_OUTDIR > the config's
 output.dir.  Exit codes: 0 success, 2 invalid config, 3 hypothesis violation
 (the message names the (H*) label), 4 any other toolkit error (a solver that

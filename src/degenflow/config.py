@@ -69,26 +69,35 @@ class ScenarioConfig:
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
+def _value_problem(value, kind: type) -> Optional[str]:
+    """Why ``value`` cannot stand for a value of type ``kind``, or None: an
+    int takes a positive int, a float any finite int or float; nothing is
+    truncated or parsed."""
+    # type(True) is bool, not int: a boolean is never a number here
+    if kind is int:
+        if type(value) is not int or value <= 0:
+            return "must be a positive integer"
+    elif kind is float:
+        if type(value) not in (int, float) or not math.isfinite(value):
+            return "must be a finite number"
+    return None
+
+
 def _knob_problem(value, default, bound=None) -> Optional[str]:
     """Why ``value`` cannot stand for a knob with this default and catalog
-    bound, or None: an int knob takes a positive int, a float knob any finite
-    int or float, a list knob a non-empty list of such items, each also satisfying
-    ``bound`` = (op, limit) if given; nothing is truncated or parsed."""
+    bound, or None: a value of the default's type (see _value_problem), or
+    for a list knob a non-empty list of such items, each also satisfying
+    ``bound`` = (op, limit) if given."""
     if isinstance(default, list):
         if type(value) is not list or not value:
             return "must be a non-empty list"
         problem = next(filter(None, (_knob_problem(v, default[0], bound) for v in value)),
                        None)
         return problem and f"each item {problem}"
-    # type(True) is bool, not int: a boolean is never a number here
-    if type(default) is int:
-        if type(value) is not int or value <= 0:
-            return "must be a positive integer"
-    elif type(value) not in (int, float) or not math.isfinite(value):
-        return "must be a finite number"
-    if bound and not _COMPARE[bound[0]](value, bound[1]):
-        return f"must be {bound[0]} {bound[1]}"
-    return None
+    problem = _value_problem(value, type(default))
+    if problem is None and bound and not _COMPARE[bound[0]](value, bound[1]):
+        problem = f"must be {bound[0]} {bound[1]}"
+    return problem
 
 
 def validate_config(raw: dict) -> list:
@@ -131,9 +140,14 @@ def validate_config(raw: dict) -> list:
                 errors.append(f"model.kind: scenario {scenario!r} builds a "
                               f"{info.model_kind!r} model, got {model['kind']!r}")
             else:
-                errors += [f"model.{key}: scenario {scenario!r} does not read this "
-                           f"key; known: {', '.join(info.model_keys)}"
-                           for key in model if key not in info.model_keys]
+                for key, value in model.items():
+                    if key not in info.model_keys:
+                        errors.append(f"model.{key}: scenario {scenario!r} does not read "
+                                      f"this key; known: {', '.join(info.model_keys)}")
+                        continue
+                    problem = _value_problem(value, info.model_keys[key])
+                    if problem:
+                        errors.append(f"model.{key}: {problem}, got {value!r}")
     if "seed" not in exp:
         errors.append("experiment.seed: missing (no silent nondeterminism)")
     elif type(exp["seed"]) is not int or exp["seed"] < 0:

@@ -81,6 +81,8 @@ _N_LOCAL = 6
 _LAMBDA_CAP = 2.0 ** 20
 # central-difference step of FunctionField's y-Jacobian
 _FD_STEP = 1e-6
+# largest grid node index and operator size the int32 indices hold
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +146,45 @@ def _grid_jacobian_y(values: np.ndarray, axes, m: int, d: int) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _multilinear_coo(axes, pts: np.ndarray):
+def _multilinear_coo(axes, coords):
     """Multilinear interpolation on a tensor grid as corner indices and weights.
 
-    pts (n, dim) are clamped to the box.  Returns the flat C-order indices of
-    the 2^dim cell corners and their weights, both (n, 2^dim): the interpolant
-    of a grid function V of shape (prod(shape), ...) is sum_c w[:, c] V[idx[:, c]].
+    coords holds one coordinate array per axis; the arrays broadcast to one
+    shape S, and each axis is located on its own array only, so a coordinate
+    shared by many points is located once.  Points are clamped to the box.
+    Returns the flat C-order int32 indices of the 2^dim cell corners and their
+    weights, both S + (2^dim,), corner c taking the upper node on axis j when
+    bit j of c is set: the interpolant of a grid function V of shape
+    (prod(shape), ...) is sum_c w[..., c] V[idx[..., c]].  Weights are the
+    products of the per-axis factors in axis order.
     """
     dim = len(axes)
-    corner_bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
-    idx = np.zeros((pts.shape[0], 1 << dim), dtype=np.int64)
-    wts = np.ones((pts.shape[0], 1 << dim))
-    stride = math.prod(len(a) for a in axes)
-    for j, ax in enumerate(axes):
+    n_nodes = math.prod(len(a) for a in axes)
+    if n_nodes > _INT32_MAX:
+        raise CapabilityError(f"a grid of {n_nodes} nodes exceeds int32 indexing")
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    shape = np.broadcast(*coords).shape
+    idx = np.empty(shape + (1 << dim,), dtype=np.int32)
+    wts = np.empty(shape + (1 << dim,))
+    stride = n_nodes
+    # (index, weight) sums and products over the axes so far, one per corner
+    # of those axes; the last axis writes its corners straight into idx, wts
+    parts = [(0, 1.0)]
+    for j, (ax, p) in enumerate(zip(axes, coords)):
         stride //= len(ax)
         # searching the interior nodes puts points outside the box in the end
         # cells, and clipping the fraction clamps them to the box
-        i = np.searchsorted(ax[1:-1], pts[:, j], side="right")
-        frac = np.clip((pts[:, j] - ax[i]) / (ax[i + 1] - ax[i]), 0.0, 1.0)[:, None]
-        bit = corner_bits[:, j]
-        idx += (i[:, None] + bit) * stride
-        wts *= np.where(bit, frac, 1.0 - frac)
+        i = np.searchsorted(ax[1:-1], p, side="right")
+        frac = np.clip((p - ax[i]) / (ax[i + 1] - ax[i]), 0.0, 1.0)
+        base = np.multiply(i, stride, dtype=np.int32)
+        sides = [(base, 1.0 - frac), (base + np.int32(stride), frac)]
+        if j == dim - 1:
+            for c, ((b, w), (pi, pw)) in enumerate((s, q) for s in sides for q in parts):
+                np.add(pi, b, out=idx[..., c])
+                np.multiply(pw, w, out=wts[..., c])
+        else:
+            parts = sides if j == 0 else [(pi + b, pw * w) for b, w in sides
+                                          for pi, pw in parts]
     return idx, wts
 
 
@@ -205,20 +225,19 @@ class FieldGrid:
         return np.array([a[1] - a[0] for a in self.axes])
 
     def _gather(self, times_q: np.ndarray, pts) -> np.ndarray:
+        """Values at query times (1,) or (n,) and points (n, dim)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx, wts = _multilinear_coo((self.times,) + self.axes,
-                                    np.concatenate([times_q.reshape(-1, 1), pts], axis=1))
+        idx, wts = _multilinear_coo((self.times,) + self.axes, (times_q, *pts.T))
         return np.einsum("nc,ncd->nd", wts, self.values.reshape(-1, self.d)[idx])
 
     def interp(self, s: float, pts) -> np.ndarray:
         """Field value at time s and points pts (n, dim) -> (n, d); linear in
         time, multilinear in space, clamped to the box."""
-        n = np.atleast_2d(pts).shape[0]
-        return self._gather(np.full(n, float(s)), pts)
+        return self._gather(np.array([float(s)]), pts)
 
     def interp_many(self, times_q, pts) -> np.ndarray:
         """Vectorized interp at per-query times: (n,), (n, dim) -> (n, d)."""
-        return self._gather(np.asarray(times_q, dtype=float), pts)
+        return self._gather(np.asarray(times_q, dtype=float).reshape(-1), pts)
 
     def jacobian_y_many(self, times_q, pts) -> np.ndarray:
         """Vectorized y-Jacobians at grid resolution: (n, d, d).
@@ -441,6 +460,10 @@ class _PicardEngine:
     rule blends the integrand linearly between time nodes, which folds its
     _N_LOCAL expectations into two operators, L0 (weights on node i) and L1
     (weights on node i+1); the discounted one-step expectation is the third.
+
+    The generator [[A1, B], [0, A2]] is block upper triangular, so the noisy
+    coordinates of E z depend on the y node only: each expectation locates
+    the x-axes over every node and the y-axes over one x row.
     """
 
     def __init__(self, model: SpectralModel, lam: float, grid: GridSpec):
@@ -460,13 +483,15 @@ class _PicardEngine:
         if not np.allclose(np.diff(self.times), self.delta):
             raise ValueError("time nodes must be uniform")
 
-        A = model.block_operator()
-        N = model.noise_matrix(0.0)
         self.gh_pts, self.gh_wts = _gauss_hermite_nodes(model.dim, _GH_ORDER)
+        # entries per operator row before duplicates are summed
+        self.row_len = self.gh_wts.size << model.dim
+        if self.n_pts * self.row_len > _INT32_MAX:
+            raise CapabilityError(f"a grid of {self.n_pts} nodes needs operators "
+                                  "beyond int32 indexing")
 
         # discounted one-step operator over a full panel
-        self.step = math.exp(-self.lam * self.delta) * self._expectation(
-            *_van_loan(A, N, self.delta))
+        self.step = math.exp(-self.lam * self.delta) * self._expectation(self.delta)
 
         # local panel nodes via the xi = e^{-lam u} substitution
         gl_x, gl_w = np.polynomial.legendre.leggauss(_N_LOCAL)
@@ -482,20 +507,38 @@ class _PicardEngine:
         self.L0 = sparse.csr_matrix((self.n_pts, self.n_pts))
         self.L1 = sparse.csr_matrix((self.n_pts, self.n_pts))
         for u, wq in zip(us, wts):
-            S = self._expectation(*_van_loan(A, N, float(u)))
+            S = self._expectation(float(u))
             theta = u / self.delta
             self.L0 = self.L0 + (wq * (1.0 - theta)) * S
             self.L1 = self.L1 + (wq * theta) * S
 
-    def _expectation(self, E: np.ndarray, G: np.ndarray) -> sparse.csr_matrix:
-        """Grid operator g -> (z -> mean of g(E z + xi), xi ~ N(0, G)), by Gauss-Hermite."""
+    def _expectation(self, h: float) -> sparse.csr_matrix:
+        """Grid operator g -> (z -> mean of g(E z + xi), xi ~ N(0, G)) for the
+        step law (E, G) over time h, by Gauss-Hermite."""
+        model = self.model
+        # an overflowing exponential is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            E, G = _van_loan(model.block_operator(), model.noise_matrix(0.0), h)
+        if not (np.all(np.isfinite(E)) and np.all(np.isfinite(G))):
+            raise CapabilityError(
+                f"the step law over h={h:.6g} is not finite at lambda={self.lam:g} "
+                "(its Van Loan exponential overflows); the grid solver "
+                "cannot represent this model at this time step")
+        # e^{hA} is block upper triangular like A; expm can leave rounding
+        # (about 1e-16) in its lower-left block, and dropping it makes the
+        # y-coordinates of E z exactly the same on every x row
+        E[model.m:, : model.m] = 0.0
         shifts = (math.sqrt(2.0) * self.gh_pts) @ psd_sqrt(G).T
-        pts = (self.mesh @ E.T)[:, None, :] + shifts[None, :, :]
-        idx, wts = _multilinear_coo(self.axes, pts.reshape(-1, self.model.dim))
-        row_len = self.gh_wts.size * idx.shape[1]
-        wts = wts.reshape(self.n_pts, self.gh_wts.size, -1) * self.gh_wts[None, :, None]
+        n_x = math.prod(self.shape[: model.m])
+        Ez = (self.mesh @ E.T).reshape(n_x, -1, model.dim)
+        # (n_x, n_y, Q) coordinates on the x-axes, (1, n_y, Q) on the y-axes
+        coords = [Ez[: n_x if a < model.m else 1, :, a, None] + shifts[:, a]
+                  for a in range(model.dim)]
+        idx, wts = _multilinear_coo(self.axes, coords)
+        wts *= self.gh_wts[:, None]
         S = sparse.csr_matrix(
-            (wts.ravel(), idx.ravel(), np.arange(0, self.n_pts * row_len + 1, row_len)),
+            (wts.ravel(), idx.ravel(),
+             np.arange(0, idx.size + 1, self.row_len, dtype=np.int32)),
             shape=(self.n_pts, self.n_pts))
         S.sum_duplicates()
         return S
@@ -532,7 +575,8 @@ def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,
 
     Iterates u^{k+1} = Gamma(u^k) from u^0 = 0, recording sup-norm residuals
     and contraction factors.  Raises LambdaTooSmallError when three
-    consecutive factors reach 1 (the discount must be increased).  Returns
+    consecutive factors reach 1 (the discount must be increased), and
+    IterationError on the first non-finite residual.  Returns
     (FieldGrid, PicardReport); total dimension m + d must be <= 3.
     """
     if model.dim > 3:
@@ -552,7 +596,13 @@ def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,
     for it in range(1, max_iter + 1):
         g = _integrand_table(engine, model, bvals, u)
         u_new = engine.apply(g)
-        res = float(np.max(np.linalg.norm(u_new - u, axis=-1), initial=0.0))
+        # the step, negated, in the storage of u, which u_new replaces below
+        np.subtract(u, u_new, out=u)
+        # the largest pointwise norm, as the root of the largest square sum
+        res = math.sqrt(np.max(np.einsum("...i,...i->...", u, u), initial=0.0))
+        if not math.isfinite(res):
+            raise IterationError(f"Picard residual is not finite at lambda={lam} "
+                                 f"in iteration {it}")
         residuals.append(res)
         if len(residuals) >= 2 and residuals[-2] > 0:
             factors.append(res / residuals[-2])

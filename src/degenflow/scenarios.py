@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional
 
 import numpy as np
 
@@ -67,8 +67,9 @@ class ScenarioInfo:
     have, ``bounds`` maps a knob to the (op, limit) its value, or each item of
     its list, must satisfy beyond that type (op is ">" or ">="),
     ``model_kind`` names the kind of model section it reads, if any, and
-    ``model_keys`` the keys of that section it passes on to build_example
-    (validation rejects any other key, value or section)."""
+    ``model_keys`` maps the keys of that section it passes on to build_example
+    to the type their values must have, checked as a knob's (validation
+    rejects any other key, value or section)."""
 
     name: str
     description: str
@@ -76,7 +77,7 @@ class ScenarioInfo:
     runner: Callable
     knobs: Mapping[str, object] = field(default_factory=dict)
     model_kind: Optional[str] = None
-    model_keys: Tuple[str, ...] = ()
+    model_keys: Mapping[str, type] = field(default_factory=dict)
     bounds: Mapping[str, tuple] = field(default_factory=dict)
 
 
@@ -371,7 +372,7 @@ SCENARIOS = {
         "truncation-gap decay of the fixed-point field for the wave system",
         "galerkin-gap-decay", _run_galerkin_wave,
         {"n_reference": 12, "amplitude": 1.0, "lam": 64.0}, model_kind="wave",
-        model_keys=("kind", "theta", "d_space", "n", "delta"),
+        model_keys={"kind": str, "theta": float, "d_space": int, "n": int, "delta": float},
         bounds={"n_reference": (">=", _GALERKIN_LEVELS[-1]), "lam": (">", 0)}),
     "uniqueness_rough": ScenarioInfo(
         "uniqueness_rough",

@@ -156,6 +156,28 @@ def test_unread_model_key_rejected(tmp_path):
     assert len(errors) == 1 and errors[0].startswith("model: must be a mapping")
 
 
+@pytest.mark.parametrize("key,value,problem", [
+    ("theta", "abc", "must be a finite number"),
+    ("theta", True, "must be a finite number"),
+    ("delta", math.nan, "must be a finite number"),
+    ("theta", math.inf, "must be a finite number"),
+    ("d_space", 2.5, "must be a positive integer"),
+    ("d_space", 0, "must be a positive integer"),
+    ("n", True, "must be a positive integer"),
+    ("n", "12", "must be a positive integer"),
+])
+def test_model_value_of_wrong_type_rejected(tmp_path, key, value, problem):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"model": {"kind": "wave", key: value},
+                                   "experiment": {"scenario": "galerkin_wave", "seed": 5}}))
+    for command in (("validate", str(cfg)), ("run", str(cfg), "--outdir", str(tmp_path / "out"))):
+        code, _, err = _run_cli(*command)
+        assert code == 2
+        assert err.startswith(f"config error: model.{key}: {problem}, got ")
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_configs_validate():
     for path in CONFIG_DIR.glob("*.yaml"):
         if path.name == "missing_seed.yaml":
@@ -233,6 +255,27 @@ def test_run_toolkit_error_exits_4_with_one_line(tmp_path, monkeypatch):
     assert code == 4
     assert err == "error: CoverageError: trajectory exits the field box at t=0.5\n"
     assert not (tmp_path / "summary.txt").exists()
+
+
+def test_run_overflowing_wave_model_exits_4_naming_the_step(tmp_path):
+    # admissible under (H3), but mode 7's Van Loan exponential overflows at the
+    # grid's time step
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"model": {"kind": "wave", "theta": 2.0, "d_space": 2},
+                                   "experiment": {"scenario": "galerkin_wave", "seed": 5}}))
+    code, _, err = _run_cli("run", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert code == 4
+    assert err.startswith("error: CapabilityError: the step law over h=0.0625 ")
+    assert "lambda=64" in err and err.count("\n") == 1
+
+
+def test_python_m_degenflow_runs_the_cli():
+    src = str(Path(degenflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "degenflow", "list-scenarios"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"{len(SCENARIOS)} scenarios:")
 
 
 def test_rerun_reproduces_outputs_byte_for_byte(tmp_path):

@@ -6,11 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy import sparse
+from scipy.interpolate import RegularGridInterpolator
+
 from degenflow.errors import (BoundaryExtrapolationWarning, CapabilityError,
-                              LambdaTooSmallError, NotInvertibleError)
-from degenflow.model import Modulus, build_drift, build_example
-from degenflow.regularization import (FieldGrid, FunctionField, GridSpec,
-                                      field_grad2, field_grad_full,
+                              IterationError, LambdaTooSmallError, NotInvertibleError)
+from degenflow.linear_flow import _gauss_hermite_nodes, _van_loan, psd_sqrt
+from degenflow.model import DriftSpec, Modulus, SpectralModel, build_drift, build_example
+from degenflow.regularization import (_GH_ORDER, _N_LOCAL, FieldGrid, FunctionField,
+                                      GridSpec, _mode_submodel, _multilinear_coo,
+                                      _PicardEngine, field_grad2, field_grad_full,
                                       find_contraction_lambda, galerkin_compare,
                                       holder_envelope_ratio, picard_solve,
                                       resolvent_apply, theta_forward, theta_inverse)
@@ -98,7 +103,7 @@ def test_fixed_point_residual_below_tolerance(rough_solution):
 
 def test_returned_field_is_a_fixed_point(rough_solution):
     # direct check of ||u - Gamma(u)|| on the grid, one extra application
-    from degenflow.regularization import _PicardEngine, _integrand_table
+    from degenflow.regularization import _integrand_table
     model, b, lam, field, report = rough_solution
     engine = _PicardEngine(model, lam, GridSpec(
         lo=tuple(field.lo), hi=tuple(field.hi),
@@ -160,7 +165,6 @@ def test_hnorm_sweep_slope_in_window(kinetic):
 
 def _rgi_reference(field, times_q, pts):
     """Clamp, multilinear in space per time node, linear in time."""
-    from scipy.interpolate import RegularGridInterpolator
     pts = np.clip(pts, field.lo, field.hi)
     ts = field.times
     out = np.empty((pts.shape[0], field.d))
@@ -193,9 +197,6 @@ def test_interp_matches_regular_grid_interpolator():
 
 
 def test_picard_apply_matches_per_node_gauss_hermite(kinetic):
-    from scipy.interpolate import RegularGridInterpolator
-    from degenflow.linear_flow import _gauss_hermite_nodes, _van_loan, psd_sqrt
-    from degenflow.regularization import _GH_ORDER, _N_LOCAL, _PicardEngine
     lam = 8.0
     grid = GridSpec(lo=(-2.0, -3.0), hi=(2.0, 3.0), shape=(5, 7), t_final=1.0, n_time=5)
     engine = _PicardEngine(kinetic, lam, grid)
@@ -226,6 +227,156 @@ def test_picard_apply_matches_per_node_gauss_hermite(kinetic):
                         for u, wq in zip(us, ws))
             ref[i, p] = local + math.exp(-lam * h) * expect(w1, h, z)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def _engine_cases():
+    """(model, grid) by name: kinetic, one wave mode, and a dim-3 model (m = 1,
+    d = 2) with A1 != 0, a non-diagonal A2 and a non-diagonal sigma."""
+    wave, _ = build_example("wave", theta=1.0, d_space=1, n=4, delta=0.4)
+    dim3 = SpectralModel(m=1, d=2, A1=[[-0.3]], A2=[[-1.0, 0.4], [0.2, -0.5]],
+                         B=[[1.0, 0.5]], A0=[[0.0]], sigma=[[1.0, 0.3], [0.0, 0.8]],
+                         delta=0.5, name="dim3")
+    return {
+        "kinetic": (build_example("kinetic", d=1)[0],
+                    GridSpec(lo=(-2.0, -3.0), hi=(2.0, 3.0), shape=(5, 7), t_final=1.0,
+                             n_time=5)),
+        "wave_mode": (_mode_submodel(wave, 0),
+                      GridSpec(lo=(-2.0, -3.0), hi=(2.0, 3.0), shape=(6, 5), t_final=0.25,
+                               n_time=5)),
+        "dim3": (dim3, GridSpec(lo=(-1.5, -2.0, -2.5), hi=(1.5, 2.0, 2.5), shape=(3, 4, 5),
+                                t_final=0.5, n_time=5)),
+    }
+
+
+_ENGINE_CASES = _engine_cases()
+
+
+@pytest.mark.parametrize("n_axes", [2, 3, 4])
+def test_multilinear_coo_broadcast_matches_columns(n_axes):
+    rng = np.random.default_rng(n_axes)
+    axes = [np.sort(rng.uniform(-2.0, 2.0, 3 + a)) for a in range(n_axes)]
+    # axis a varies along array axis a only: coordinates of shape
+    # (1, .., k_a, .., 1) broadcast to the full tensor of points
+    counts = [4 + a for a in range(n_axes)]
+    coords = []
+    for a, (ax, k) in enumerate(zip(axes, counts)):
+        c = rng.uniform(ax[0] - 1.0, ax[-1] + 1.0, k)   # some outside the box
+        c[:2] = rng.choice(ax, 2)                         # some exactly on nodes
+        c[-1] = ax[-1]
+        coords.append(c.reshape([k if b == a else 1 for b in range(n_axes)]))
+    idx, wts = _multilinear_coo(axes, coords)
+    assert idx.shape == wts.shape == tuple(counts) + (1 << n_axes,)
+    assert idx.dtype == np.int32
+    cols = [np.broadcast_to(c, tuple(counts)).ravel() for c in coords]
+    idx_flat, wts_flat = _multilinear_coo(axes, cols)
+    assert np.array_equal(idx.reshape(idx_flat.shape), idx_flat)
+    assert np.array_equal(wts.reshape(wts_flat.shape), wts_flat)
+    # the flat call itself is the clamped multilinear interpolant
+    values = rng.standard_normal([a.size for a in axes])
+    pts = np.clip(np.stack(cols, axis=-1), [a[0] for a in axes], [a[-1] for a in axes])
+    ref = RegularGridInterpolator(axes, values)(pts)
+    got = np.sum(wts_flat * values.ravel()[idx_flat], axis=-1)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("model,grid", _ENGINE_CASES.values(), ids=_ENGINE_CASES.keys())
+def test_engine_operators_equal_full_width_assembly(model, grid):
+    """step, L0 and L1 equal, bit for bit, operators assembled from E z + shifts
+    at every node and Gauss-Hermite point with E exactly as Van Loan gives it."""
+    lam = 8.0
+    engine = _PicardEngine(model, lam, grid)
+    A, N = model.block_operator(), model.noise_matrix(0.0)
+    gh_pts, gh_wts = _gauss_hermite_nodes(model.dim, _GH_ORDER)
+    mesh, n, h = grid.mesh(), engine.n_pts, engine.delta
+
+    def expectation(u):
+        E, G = _van_loan(A, N, float(u))
+        # the premise of sharing the y-coordinates: e^{uA} is block upper triangular
+        assert np.all(E[model.m:, : model.m] == 0.0)
+        shifts = math.sqrt(2.0) * gh_pts @ psd_sqrt(G).T
+        pts = ((mesh @ E.T)[:, None, :] + shifts[None, :, :]).reshape(-1, model.dim)
+        idx, wts = _multilinear_coo(grid.axes(), [pts[:, a] for a in range(model.dim)])
+        wts = wts.reshape(n, gh_wts.size, -1) * gh_wts[None, :, None]
+        row_len = wts[0].size
+        S = sparse.csr_matrix((wts.ravel(), idx.ravel(),
+                               np.arange(0, n * row_len + 1, row_len)), shape=(n, n))
+        S.sum_duplicates()
+        return S
+
+    x, w = np.polynomial.legendre.leggauss(_N_LOCAL)
+    xi_lo = math.exp(-lam * h)
+    us = -np.log(0.5 * (1.0 - xi_lo) * (x + 1.0) + xi_lo) / lam
+    ws = 0.5 * (1.0 - xi_lo) * w / lam
+    refs = {"step": math.exp(-lam * h) * expectation(h),
+            "L0": sparse.csr_matrix((n, n)), "L1": sparse.csr_matrix((n, n))}
+    for u, wq in zip(us, ws):
+        S = expectation(u)
+        refs["L0"] = refs["L0"] + (wq * (1.0 - u / h)) * S
+        refs["L1"] = refs["L1"] + (wq * (u / h)) * S
+    for name, ref in refs.items():
+        got = getattr(engine, name)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part)), (name, part)
+
+
+@pytest.mark.parametrize("model,grid", _ENGINE_CASES.values(), ids=_ENGINE_CASES.keys())
+def test_engine_operators_match_pointwise_gauss_hermite(model, grid):
+    """step, L0 and L1 applied to random g against a direct Gauss-Hermite sum,
+    node by node, of the clamped multilinear interpolant at E z + shifts."""
+    lam = 8.0
+    engine = _PicardEngine(model, lam, grid)
+    A, N = model.block_operator(), model.noise_matrix(0.0)
+    gh_pts, gh_wts = _gauss_hermite_nodes(model.dim, _GH_ORDER)
+    axes, mesh = grid.axes(), grid.mesh()
+    h = grid.t_final / (grid.n_time - 1)
+    g = np.random.default_rng(7).standard_normal(engine.n_pts)
+    interp = RegularGridInterpolator(axes, g.reshape(grid.shape))
+
+    def expect(u):
+        E, G = _van_loan(A, N, float(u))
+        shifts = math.sqrt(2.0) * gh_pts @ psd_sqrt(G).T
+        return np.array([gh_wts @ interp(np.clip(E @ z + shifts, grid.lo, grid.hi))
+                         for z in mesh])
+
+    x, w = np.polynomial.legendre.leggauss(_N_LOCAL)
+    xi_lo = math.exp(-lam * h)
+    us = -np.log(0.5 * (1.0 - xi_lo) * (x + 1.0) + xi_lo) / lam
+    ws = 0.5 * (1.0 - xi_lo) * w / lam
+    local = [expect(u) for u in us]
+    refs = {"step": math.exp(-lam * h) * expect(h),
+            "L0": sum(wq * (1.0 - u / h) * e for u, wq, e in zip(us, ws, local)),
+            "L1": sum(wq * u / h * e for u, wq, e in zip(us, ws, local))}
+    for name, ref in refs.items():
+        np.testing.assert_allclose(getattr(engine, name) @ g, ref, rtol=0, atol=1e-14,
+                                   err_msg=name)
+
+
+def test_picard_residual_is_the_sup_of_the_step_norm():
+    # d = 2: the residual of iteration k is max over nodes and times of |u_k - u_{k-1}|
+    model, grid = _ENGINE_CASES["dim3"]
+    b = build_drift("dissipative", model.m, model.d)
+    iterates = [np.zeros(1)]
+    for k in (1, 2, 3):
+        field, report = picard_solve(model, b, 8.0, grid, max_iter=k)
+        iterates.append(field.values)
+        step = np.linalg.norm(iterates[k] - iterates[k - 1], axis=-1).max()
+        assert report.residuals[k - 1] == pytest.approx(step, rel=1e-15, abs=0.0)
+
+
+def test_engine_rejects_an_overflowing_step_law():
+    # mode 7 of the theta = 2, d_space = 2 wave family: its Van Loan exponential
+    # overflows at h = 1/16
+    wave, _ = build_example("wave", theta=2.0, d_space=2, n=8)
+    grid = GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), shape=(9, 9), t_final=1.0, n_time=17)
+    with pytest.raises(CapabilityError, match=r"h=0\.0625 .*lambda=64"):
+        _PicardEngine(_mode_submodel(wave, 6), 64.0, grid)
+
+
+def test_picard_stops_on_a_non_finite_residual(kinetic, grid33):
+    b = DriftSpec(fn=lambda t, x, y: np.where(y > 3.0, np.nan, 0.1), m=1, d=1,
+                  alpha=0.75, phi=Modulus.power(1.0, 0.5), K=1.0, bound=None, name="nan")
+    with pytest.raises(IterationError, match="not finite at lambda=16.* iteration 1"):
+        picard_solve(kinetic, b, 16.0, grid33)
 
 
 # ---------------------------------------------------------------------------
