@@ -52,7 +52,7 @@ from scipy import sparse
 
 from .errors import (BoundaryExtrapolationWarning, CapabilityError, IterationError,
                      LambdaTooSmallError, NotInvertibleError)
-from .linear_flow import _gauss_hermite_nodes, _van_loan, psd_sqrt
+from .linear_flow import _gauss_hermite_nodes, _step_law, psd_sqrt
 from .model import DriftSpec, Modulus, SpectralModel
 from .streams import substream
 
@@ -516,17 +516,18 @@ class _PicardEngine:
         """Grid operator g -> (z -> mean of g(E z + xi), xi ~ N(0, G)) for the
         step law (E, G) over time h, by Gauss-Hermite."""
         model = self.model
-        # an overflowing exponential is reported below, not warned about
+        # an unbounded flow is reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            E, G = _van_loan(model.block_operator(), model.noise_matrix(0.0), h)
+            E, G, _ = _step_law(model.block_operator(), model.noise_matrix(0.0), h)
         if not (np.all(np.isfinite(E)) and np.all(np.isfinite(G))):
             raise CapabilityError(
                 f"the step law over h={h:.6g} is not finite at lambda={self.lam:g} "
-                "(its Van Loan exponential overflows); the grid solver "
+                "(the flow is unbounded over one step); the grid solver "
                 "cannot represent this model at this time step")
         # e^{hA} is block upper triangular like A; expm can leave rounding
-        # (about 1e-16) in its lower-left block, and dropping it makes the
-        # y-coordinates of E z exactly the same on every x row
+        # (about 1e-16) in its lower-left block, which the doublings keep, and
+        # dropping it makes the y-coordinates of E z exactly the same on
+        # every x row
         E[model.m:, : model.m] = 0.0
         shifts = (math.sqrt(2.0) * self.gh_pts) @ psd_sqrt(G).T
         n_x = math.prod(self.shape[: model.m])

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CoverageError, IterationError, NonOsgoodWarning
-from .linear_flow import PathBundle, _step_kernels, step_kernel
+from .linear_flow import PathBundle, _step_kernels, _step_law
 from .model import DriftSpec, SpectralModel, _expm
 from .regularization import FieldGrid
 from .streams import stream_name, substream
@@ -91,13 +91,13 @@ def _step_flow(model: SpectralModel, s: float, t: float, n_steps: int):
     """(E, J inj) of one step of the uniform grid on [s, t].
 
     Both are mathematically independent of sigma and of the step; they are
-    taken from the kernel at s, which serves every step of the integrator and
-    of the record helpers alike.  For a callable sigma that kernel's Van Loan
-    exponential sees sigma(s) only, so E may differ in the last bits from the
-    E of the kernel at a later step.
+    read from the step law at s, which serves every step of the integrator and
+    of the record helpers alike and is the law the step kernel at s is built
+    from.  For a callable sigma that law sees sigma(s) only, so E may differ
+    in the last bits from the E of the kernel at a later step.
     """
-    ker = step_kernel(model, s, (t - s) / n_steps)
-    return ker.E, ker.J @ model.injection()
+    E, _, J = _step_law(model.block_operator(), model.noise_matrix(s), (t - s) / n_steps)
+    return E, J @ model.injection()
 
 
 def make_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_within_se
 from degenflow.errors import CapabilityError
-from degenflow.linear_flow import (apply_P0, hs_noise_integral, sample_linear,
+from degenflow.linear_flow import (_step_law, apply_P0, hs_noise_integral, sample_linear,
                                    transition_law, transition_law_quadrature)
 from degenflow.model import SpectralModel, build_example
 
@@ -27,7 +27,7 @@ def test_kinetic_law_closed_form(kinetic):
 
 
 def test_law_cross_checked_by_quadrature(kinetic):
-    law = transition_law(kinetic, 0.2, 1.1, [1.0, 2.0], check=True)
+    law = transition_law(kinetic, 0.2, 1.1, [1.0, 2.0])
     ref = transition_law_quadrature(kinetic, 0.2, 1.1, [1.0, 2.0])
     np.testing.assert_allclose(law.cov, ref.cov, atol=1e-10)
     np.testing.assert_allclose(law.mean, ref.mean, atol=1e-12)
@@ -48,6 +48,28 @@ def test_wave_law_y_block_is_ou_variance(wave4):
     np.testing.assert_allclose(np.diag(law.cov)[4:], expected, rtol=1e-10)
     offdiag = law.cov[4:, 4:] - np.diag(np.diag(law.cov[4:, 4:]))
     np.testing.assert_allclose(offdiag, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", [1, 4, 7])
+def test_step_law_matches_closed_form_on_stiff_wave_modes(mode):
+    # 2x2 wave mode of theta = 2, d_space = 2 at h = 1/16: lambda h = 24, 390, 1029
+    wave, _ = build_example("wave", theta=2.0, d_space=2, n=8)
+    lam, h = float(wave.eigenvalues[mode - 1]), 1.0 / 16.0
+    A = np.array([[-lam, 1.0], [0.0, -lam]])
+    E, G, J = _step_law(A, np.diag([0.0, 1.0]), h)
+    e, a = math.exp(-lam * h), 2.0 * lam
+    f = math.exp(-a * h)
+    # e^{uA} = e^{-lam u} [[1, u], [0, 1]], so G integrates e^{-a u} [[u^2, u], [u, 1]]
+    g11 = (2.0 - f * (2.0 + 2.0 * a * h + (a * h) ** 2)) / a ** 3
+    g12 = (1.0 - f * (1.0 + a * h)) / a ** 2
+    j11 = -math.expm1(-lam * h) / lam
+    closed = {"E": e * np.array([[1.0, h], [0.0, 1.0]]),
+              "G": np.array([[g11, g12], [g12, -math.expm1(-a * h) / a]]),
+              "J": np.array([[j11, (1.0 - e * (1.0 + lam * h)) / lam ** 2], [0.0, j11]])}
+    for name, got in zip("EGJ", (E, G, J)):
+        want = closed[name]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(),
+                                   err_msg=name)
 
 
 def test_domain_error_on_reversed_times(kinetic):
@@ -71,9 +93,7 @@ def test_gaussian_composition_reproduces_law(kinetic, frac):
     first = transition_law(kinetic, s, r, [0.5, 0.7])
     # propagate the intermediate law through the second window
     second = transition_law(kinetic, r, t, first.mean)
-    E = transition_law(kinetic, r, t, np.zeros(2)).mean * 0  # placeholder
-    from degenflow.linear_flow import _van_loan
-    E2, G2 = _van_loan(kinetic.block_operator(), kinetic.noise_matrix(), t - r)
+    E2, G2, _ = _step_law(kinetic.block_operator(), kinetic.noise_matrix(), t - r)
     mean = E2 @ first.mean
     cov = E2 @ first.cov @ E2.T + G2
     np.testing.assert_allclose(mean, direct.mean, atol=1e-10)
@@ -109,8 +129,7 @@ def test_increment_covariance_is_h_times_identity(kinetic):
 def test_zero_noise_paths_equal_deterministic_flow():
     model, _ = build_example("kinetic", d=1, sigma=np.zeros((1, 1)))
     bundle = sample_linear(model, 0.0, 1.0, [1.0, 2.0], 3, 4, seed=0)
-    from degenflow.linear_flow import _van_loan
-    E, _ = _van_loan(model.block_operator(), model.noise_matrix(), 0.25)
+    E, _, _ = _step_law(model.block_operator(), model.noise_matrix(), 0.25)
     z = np.array([1.0, 2.0])
     for i in range(4):
         z = E @ z

@@ -1,5 +1,6 @@
 """Resolvent, Picard fixed point, state transform, Galerkin comparisons."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from degenflow.errors import (BoundaryExtrapolationWarning, CapabilityError,
                               IterationError, LambdaTooSmallError, NotInvertibleError)
-from degenflow.linear_flow import _gauss_hermite_nodes, _van_loan, psd_sqrt
+from degenflow.linear_flow import _gauss_hermite_nodes, _step_law, psd_sqrt
 from degenflow.model import DriftSpec, Modulus, SpectralModel, build_drift, build_example
 from degenflow.regularization import (_GH_ORDER, _N_LOCAL, FieldGrid, FunctionField,
                                       GridSpec, _mode_submodel, _multilinear_coo,
@@ -211,7 +212,7 @@ def test_picard_apply_matches_per_node_gauss_hermite(kinetic):
     xi_lo = math.exp(-lam * h)
     us = -np.log(0.5 * (1.0 - xi_lo) * (x + 1.0) + xi_lo) / lam
     ws = 0.5 * (1.0 - xi_lo) * w / lam
-    laws = {u: _van_loan(A, N, u) for u in (*us, h)}
+    laws = {u: _step_law(A, N, u)[:2] for u in (*us, h)}
 
     def expect(interp, u, z):
         E, G = laws[u]
@@ -282,7 +283,7 @@ def test_multilinear_coo_broadcast_matches_columns(n_axes):
 @pytest.mark.parametrize("model,grid", _ENGINE_CASES.values(), ids=_ENGINE_CASES.keys())
 def test_engine_operators_equal_full_width_assembly(model, grid):
     """step, L0 and L1 equal, bit for bit, operators assembled from E z + shifts
-    at every node and Gauss-Hermite point with E exactly as Van Loan gives it."""
+    at every node and Gauss-Hermite point with E exactly as the step law gives it."""
     lam = 8.0
     engine = _PicardEngine(model, lam, grid)
     A, N = model.block_operator(), model.noise_matrix(0.0)
@@ -290,7 +291,7 @@ def test_engine_operators_equal_full_width_assembly(model, grid):
     mesh, n, h = grid.mesh(), engine.n_pts, engine.delta
 
     def expectation(u):
-        E, G = _van_loan(A, N, float(u))
+        E, G, _ = _step_law(A, N, float(u))
         # the premise of sharing the y-coordinates: e^{uA} is block upper triangular
         assert np.all(E[model.m:, : model.m] == 0.0)
         shifts = math.sqrt(2.0) * gh_pts @ psd_sqrt(G).T
@@ -333,7 +334,7 @@ def test_engine_operators_match_pointwise_gauss_hermite(model, grid):
     interp = RegularGridInterpolator(axes, g.reshape(grid.shape))
 
     def expect(u):
-        E, G = _van_loan(A, N, float(u))
+        E, G, _ = _step_law(A, N, float(u))
         shifts = math.sqrt(2.0) * gh_pts @ psd_sqrt(G).T
         return np.array([gh_wts @ interp(np.clip(E @ z + shifts, grid.lo, grid.hi))
                          for z in mesh])
@@ -363,13 +364,12 @@ def test_picard_residual_is_the_sup_of_the_step_norm():
         assert report.residuals[k - 1] == pytest.approx(step, rel=1e-15, abs=0.0)
 
 
-def test_engine_rejects_an_overflowing_step_law():
-    # mode 7 of the theta = 2, d_space = 2 wave family: its Van Loan exponential
-    # overflows at h = 1/16
-    wave, _ = build_example("wave", theta=2.0, d_space=2, n=8)
+def test_engine_rejects_an_overflowing_step_law(kinetic):
+    # A1 = 12000: e^{hA} is about e^{750} at h = 1/16, beyond float range
+    explosive = dataclasses.replace(kinetic, A1=[[12000.0]])
     grid = GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), shape=(9, 9), t_final=1.0, n_time=17)
-    with pytest.raises(CapabilityError, match=r"h=0\.0625 .*lambda=64"):
-        _PicardEngine(_mode_submodel(wave, 6), 64.0, grid)
+    with pytest.raises(CapabilityError, match=r"h=0\.0625 .*lambda=64.*unbounded"):
+        _PicardEngine(explosive, 64.0, grid)
 
 
 def test_picard_stops_on_a_non_finite_residual(kinetic, grid33):
