@@ -37,7 +37,9 @@ exponential E and the exact step kernels (one contraction per moment, no
 loop over steps), and the estimators draw each path's terminal state and
 weights from that law directly instead of stepping it through N kernels;
 time-dependent sigma keeps its left-point kernels, so the law is that of
-the stepped paths exactly.
+the stepped paths exactly.  The start z enters only the mean E^N z, so the
+law (flows, Cholesky factors) is built once per set of windows and shared
+by every start: scaling_exponent builds one per gap for all its probes.
 """
 
 from __future__ import annotations
@@ -273,22 +275,23 @@ def _powers(E: np.ndarray, n: int) -> np.ndarray:
     return pows[:n]
 
 
-def _joint_moments(model: SpectralModel, z, windows):
-    """Exact mean and covariance of (Z_T, S_1, ..., S_J).
+def _law_moments(model: SpectralModel, windows):
+    """Moments of (Z_T, S_1, ..., S_J) that do not depend on the start.
 
     windows is a sequence of (times, hvec) over consecutive uniform grids, hvec
     (N_j, k) holding the left-point weights of S_j = sum_i <h_i, dW_i>.  Each
     window composes its N step kernels (one E, per-step G_i and K_i) in
-    closed form: mean <- E^N mean, P <- E^N P E^N* + sum E^{N-1-i} G_i
-    E^{N-1-i}*, C <- E^N C, and column j of C gains
-    sum E^{N-1-i} Cov(eta_i, dW_i) h_i = h sum E^{N-1-i} K_i h_i.  Returns
-    (mean, P, C = Cov(Z_T, S), Var S); the S_j are uncorrelated, their
-    increments being disjoint.
+    closed form: P <- E^N P E^N* + sum E^{N-1-i} G_i E^{N-1-i}*, C <- E^N C,
+    and column j of C gains sum E^{N-1-i} Cov(eta_i, dW_i) h_i
+    = h sum E^{N-1-i} K_i h_i.  Returns (flows, P, C = Cov(Z_T, S), Var S),
+    flows holding each window's E^N in order, so that the mean from z is
+    z pushed through them one after the other; the S_j are uncorrelated,
+    their increments being disjoint.
     """
-    mean = np.asarray(z, dtype=float).reshape(model.dim)
     P = np.zeros((model.dim, model.dim))
     C = np.zeros((model.dim, len(windows)))
     var = np.empty(len(windows))
+    flows = []
     for j, (times, hvec) in enumerate(windows):
         n = times.size - 1
         kers = _step_kernels(model, times[0], times[-1], n)
@@ -297,32 +300,68 @@ def _joint_moments(model: SpectralModel, z, windows):
         EN, R = pows[n], pows[n - 1::-1]
         RG = R @ np.array([ker.G for ker in kers])
         RK = R @ np.array([ker.Kmat for ker in kers])
-        mean = EN @ mean
+        flows.append(EN)
         P = EN @ P @ EN.T + np.einsum("nab,ndb->ad", RG, R)
         C = EN @ C
         C[:, j] += h * np.einsum("nak,nk->a", RK, hvec)
         var[j] = h * float(np.sum(hvec ** 2))
-    return mean, P, C, var
+    return flows, P, C, var
 
 
-def _joint_draw(model: SpectralModel, z, windows, rng: np.random.Generator,
-                n_paths: int):
-    """Exact joint draw of (Z_T (n, dim), S (n, J)); see _joint_moments.
+@dataclass(frozen=True)
+class _JointLaw:
+    """The law of (Z_T, S_1, ..., S_J) less its start; see _law_moments.
 
-    Z = mean + F zeta with F the Cholesky factor of P, and S given Z_T:
+    Z = mean(z) + F zeta with F the Cholesky factor of P, and S given Z_T:
     S = A* zeta + L xi with F A = Cov(Z_T, S) and L L* = diag(Var S) - A* A.
+    Only the mean depends on the start z, so one law serves every start.
     The Cholesky factor is continuous in P, so roundoff in the moments moves
     the draws by roundoff, where an eigenvector factor of a P with repeated
     eigenvalues can jump.  Every weight is linear in the h_i, so scaling the
     direction by a power of two scales S exactly.
     """
-    mean, P, C, var = _joint_moments(model, z, windows)
-    F = np.linalg.cholesky(P)
-    A = np.linalg.solve(F, C)
-    L = psd_sqrt(np.diag(var) - A.T @ A)
-    zeta = rng.standard_normal((n_paths, model.dim))
-    xi = rng.standard_normal((n_paths, len(windows)))
-    return mean + zeta @ F.T, zeta @ A + xi @ L.T
+
+    flows: tuple
+    F: np.ndarray
+    A: np.ndarray
+    L: np.ndarray
+
+    @classmethod
+    def of(cls, model: SpectralModel, windows) -> "_JointLaw":
+        flows, P, C, var = _law_moments(model, windows)
+        F = np.linalg.cholesky(P)
+        A = np.linalg.solve(F, C)
+        return cls(flows=tuple(flows), F=F, A=A, L=psd_sqrt(np.diag(var) - A.T @ A))
+
+    def mean(self, z) -> np.ndarray:
+        """E Z_T from the start z."""
+        mean = np.asarray(z, dtype=float).reshape(self.F.shape[0])
+        for EN in self.flows:
+            mean = EN @ mean
+        return mean
+
+    def draw(self, z, rng: np.random.Generator, n_paths: int):
+        """Exact joint draw of (Z_T (n, dim), S (n, J)) from the start z."""
+        zeta = rng.standard_normal((n_paths, self.F.shape[0]))
+        xi = rng.standard_normal((n_paths, self.L.shape[0]))
+        return self.mean(z) + zeta @ self.F.T, zeta @ self.A + xi @ self.L.T
+
+    def weighted(self, f: Callable, z, rng: np.random.Generator,
+                 n_paths: int) -> np.ndarray:
+        """Per path, f at the terminal state times every weight."""
+        Z, S = self.draw(z, rng, n_paths)
+        prod = np.asarray(f(Z), dtype=float).reshape(n_paths)
+        for Sj in S.T:
+            prod = prod * Sj
+        return prod
+
+
+def _gradient_law(model: SpectralModel, s: float, T: float, v,
+                  n_steps: int) -> _JointLaw:
+    """Law of (Z_T, S) for the gradient weight of direction v on [s, T]."""
+    ctrl = perturbation_controls(model, s, T, v)
+    times = np.linspace(s, T, n_steps + 1)
+    return _JointLaw.of(model, [(times, _weight_table(ctrl, times))])
 
 
 def bismut_gradient(model: SpectralModel, s: float, T: float, f: Callable, z, v,
@@ -339,12 +378,8 @@ def bismut_gradient(model: SpectralModel, s: float, T: float, f: Callable, z, v,
         raise ValueError("T must exceed s")
     if n_paths < 2 or n_steps < 1:
         raise ValueError("need n_paths >= 2 and n_steps >= 1")
-    ctrl = perturbation_controls(model, s, T, v)
-    times = np.linspace(s, T, n_steps + 1)
-    rng = substream(seed, *stream)
-    Z, S = _joint_draw(model, z, [(times, _weight_table(ctrl, times))], rng, n_paths)
-    vals = np.asarray(f(Z), dtype=float).reshape(n_paths)
-    prod = vals * S[:, 0]
+    law = _gradient_law(model, s, T, v, n_steps)
+    prod = law.weighted(f, z, substream(seed, *stream), n_paths)
     value = float(prod.mean())
     stderr = float(prod.std(ddof=1) / math.sqrt(n_paths))
     return GradientEstimate(value=value, stderr=stderr, n_paths=n_paths,
@@ -375,10 +410,7 @@ def bismut_hessian(model: SpectralModel, s: float, T: float, f: Callable, z,
     times2 = np.linspace(t_mid, T, half + 1)
     windows = [(times1, _weight_table(ctrl_inner, times1)),
                (times2, _weight_table(ctrl_outer, times2))]
-    rng = substream(seed, *stream)
-    Z, S = _joint_draw(model, z, windows, rng, n_paths)
-    vals = np.asarray(f(Z), dtype=float).reshape(n_paths)
-    prod = vals * S[:, 0] * S[:, 1]
+    prod = _JointLaw.of(model, windows).weighted(f, z, substream(seed, *stream), n_paths)
     return GradientEstimate(value=float(prod.mean()),
                             stderr=float(prod.std(ddof=1) / math.sqrt(n_paths)),
                             n_paths=n_paths,
@@ -481,15 +513,20 @@ def scaling_exponent(model: SpectralModel, f: Callable, component: str,
     """Fitted slope of log sup_z |grad P^0_{0,gap} f| against log gap.
 
     The sup is taken over a small probe set (a lower bound of the true
-    sup-norm, adequate for slope fitting); each point is estimated with
-    bismut_gradient at budget // (n_gaps * n_probes) paths.  A per-point
-    budget below 100 paths sets the low-budget flag and warns.
+    sup-norm, adequate for slope fitting); each point is the estimate of
+    bismut_gradient at budget // (n_gaps * n_probes) paths on the substream
+    ("bismut", "scaling", gap index, probe index), bit for bit.  The joint
+    law of a gap does not depend on the start, so it is built once and every
+    probe of that gap draws from it.  A per-point budget below 100 paths
+    sets the low-budget flag and warns.
     """
     gaps = np.asarray(list(gaps), dtype=float)
     if gaps.size < 4:
         raise ValueError("need at least 4 gaps for a slope fit")
     if component not in ("x", "y"):
         raise ValueError("component must be 'x' or 'y'")
+    if n_steps < 1:
+        raise ValueError("need n_steps >= 1")
     v = np.zeros(model.dim)
     v[0 if component == "x" else model.m] = 1.0
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -500,12 +537,11 @@ def scaling_exponent(model: SpectralModel, f: Callable, component: str,
                       "slope confidence will be wide", AccuracyWarning)
     values = np.empty(gaps.size)
     for gi, g in enumerate(gaps):
+        law = _gradient_law(model, 0.0, float(g), v, n_steps)
         best = 0.0
         for pi, zp in enumerate(probes):
-            est = bismut_gradient(model, 0.0, float(g), f, zp, v,
-                                  n_paths=n, n_steps=n_steps, seed=seed,
-                                  stream=("bismut", "scaling", f"{gi}", f"{pi}"))
-            best = max(best, abs(est.value))
+            rng = substream(seed, "bismut", "scaling", f"{gi}", f"{pi}")
+            best = max(best, abs(float(law.weighted(f, zp, rng, n).mean())))
         values[gi] = best
     logg = np.log(gaps)
     logv = np.log(np.maximum(values, 1e-300))

@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import zeta
 
 from .errors import CapabilityError, HypothesisViolationError, InvalidModulusError
 from .streams import substream
@@ -269,6 +268,7 @@ class PowerTail:
 
     def tail_sum(self, delta: float, start: int) -> float:
         """sum_{i >= start} lambda_i^{delta-1} via the Hurwitz zeta function."""
+        from scipy.special import zeta
         p = self.exponent * (1.0 - delta)
         if p <= 1.0:
             return math.inf

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (BoundaryExtrapolationWarning, CapabilityError, IterationError,
                      LambdaTooSmallError, NotInvertibleError)
@@ -504,6 +503,7 @@ class _PicardEngine:
             us = 0.5 * self.delta * (gl_x + 1.0)
             wts = 0.5 * self.delta * gl_w * np.exp(-self.lam * us)
         # one operator at a time keeps the peak memory at one expectation
+        from scipy import sparse
         self.L0 = sparse.csr_matrix((self.n_pts, self.n_pts))
         self.L1 = sparse.csr_matrix((self.n_pts, self.n_pts))
         for u, wq in zip(us, wts):
@@ -515,6 +515,7 @@ class _PicardEngine:
     def _expectation(self, h: float) -> sparse.csr_matrix:
         """Grid operator g -> (z -> mean of g(E z + xi), xi ~ N(0, G)) for the
         step law (E, G) over time h, by Gauss-Hermite."""
+        from scipy import sparse
         model = self.model
         # an unbounded flow is reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):

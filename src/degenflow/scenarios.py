@@ -145,14 +145,16 @@ def _run_gradient_scaling(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     rows = [["x", g, v] for g, v in zip(fit_x.gaps, fit_x.values)]
     rows += [["y", g, v] for g, v in zip(fit_y.gaps, fit_y.values)]
     write_csv(outdir / "scaling.csv", ["component", "gap", "sup_gradient"], rows)
-    return [
-        _anchor_line("gradient-x-exponent",
-                     f"fitted x-slope {fit_x.slope:+.3f} +- {fit_x.slope_stderr:.3f} "
-                     "(expected -1.5)"),
-        _anchor_line("gradient-y-exponent",
-                     f"fitted y-slope {fit_y.slope:+.3f} +- {fit_y.slope_stderr:.3f} "
-                     "(expected -0.5)"),
-    ]
+
+    def line(anchor, name, fit, expect):
+        text = (f"fitted {name}-slope {fit.slope:+.3f} +- {fit.slope_stderr:.3f} "
+                f"(expected {expect})")
+        if fit.low_budget:
+            text += f"; low budget: {fit.n_per_point} paths per point"
+        return _anchor_line(anchor, text)
+
+    return [line("gradient-x-exponent", "x", fit_x, "-1.5"),
+            line("gradient-y-exponent", "y", fit_y, "-0.5")]
 
 
 def _run_gramian_sweep(cfg: ScenarioConfig, outdir: Path) -> List[str]:
@@ -188,13 +190,14 @@ def _run_picard_lambda_sweep(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     lams = np.array([r[0] for r in rows])
     hnorm = np.array([r[3] for r in rows])
     slope = float(np.polyfit(np.log(lams), np.log(hnorm), 1)[0])
+    window = "" if -0.6 <= slope <= -0.4 else "; outside the window [-0.6, -0.4]"
     factor = (f"{last_report.contraction_factor:.3f}" if last_report.valid_factors
               else f"not measurable (no factor above the residual floor in "
                    f"{last_report.iterations} iterations)")
     return [
         _anchor_line("field-norm-sqrt-decay",
                      f"fixed-point norm slope {slope:+.3f} over lambda in "
-                     f"[{lams[0]:g}, {lams[-1]:g}] (expected -1/2)"),
+                     f"[{lams[0]:g}, {lams[-1]:g}] (expected -1/2){window}"),
         _anchor_line("picard-contraction-half",
                      f"median contraction factor at lambda={lams[-1]:g}: {factor}"),
     ]

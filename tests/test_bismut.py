@@ -20,7 +20,7 @@ from scipy import integrate
 
 from conftest import assert_within_se
 from degenflow import bismut
-from degenflow.bismut import (_joint_draw, _joint_moments, _weight_table,
+from degenflow.bismut import (_JointLaw, _law_moments, _weight_table,
                               bismut_gradient, bismut_hessian, gramian_Q,
                               perturbation_controls, scaling_exponent,
                               transported_direction, variance_bound_check,
@@ -255,7 +255,8 @@ def test_joint_moments_closed_forms(kinetic):
     for (a, b), v in (((0.0, 0.5), [0.0, 1.0]), ((0.5, 1.0), [1.0, -0.5])):
         times = np.linspace(a, b, 33)
         windows.append((times, _weight_table(perturbation_controls(kinetic, a, b, v), times)))
-    mean, P, C, var = _joint_moments(kinetic, [0.3, -0.2], windows)
+    _, P, C, var = _law_moments(kinetic, windows)
+    mean = _JointLaw.of(kinetic, windows).mean([0.3, -0.2])
     np.testing.assert_allclose(mean, [0.1, -0.2], rtol=0, atol=1e-12)
     np.testing.assert_allclose(P, [[1.0 / 3.0, 0.5], [0.5, 1.0]], rtol=0, atol=1e-12)
     for j, (times, hvec) in enumerate(windows):
@@ -289,7 +290,8 @@ def test_joint_moments_match_stepwise_loop(kind, n_windows, kinetic):
     for a, b in zip(edges[:-1], edges[1:]):
         times = np.linspace(a, b, 1 + 96 // n_windows)
         windows.append((times, _weight_table(perturbation_controls(model, a, b, v), times)))
-    mean, P, C, _ = _joint_moments(model, z, windows)
+    _, P, C, _ = _law_moments(model, windows)
+    mean = _JointLaw.of(model, windows).mean(z)
     for got, ref in zip((mean, P, C), _stepwise_moments(model, z, windows)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
@@ -302,13 +304,14 @@ def test_joint_draw_continuous_in_the_moments(monkeypatch):
     times = np.linspace(0.0, 1.0, 65)
     windows = [(times, _weight_table(perturbation_controls(model, 0.0, 1.0, [1.0, 0.0, 0.5, 0.0]),
                                      times))]
-    mean, P, C, var = _joint_moments(model, [0.1, 0.2, -0.3, 0.4], windows)
+    flows, P, C, var = _law_moments(model, windows)
     dP = 1e-16 * np.array([[0.0, 1.0, -1.0, 0.5], [1.0, 2.0, 0.0, 1.0],
                            [-1.0, 0.0, 0.0, -1.0], [0.5, 1.0, -1.0, 1.0]])
     draws = []
     for cov in (P, P + dP):
-        monkeypatch.setattr(bismut, "_joint_moments", lambda *a, cov=cov: (mean, cov, C, var))
-        draws.append(_joint_draw(model, None, windows, np.random.default_rng(5), 200))
+        monkeypatch.setattr(bismut, "_law_moments", lambda *a, cov=cov: (flows, cov, C, var))
+        draws.append(_JointLaw.of(model, windows).draw([0.1, 0.2, -0.3, 0.4],
+                                                        np.random.default_rng(5), 200))
     for a, b in zip(*draws):
         assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -421,3 +424,23 @@ def test_scaling_low_budget_warns(kinetic):
                                budget=300, probes=np.array([[0.0, 0.0]]), seed=2)
     assert fit.low_budget
     assert any(issubclass(w.category, AccuracyWarning) for w in captured)
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "sigma_in_time"])
+def test_scaling_points_equal_gradient_estimates(kind, kinetic):
+    # every probe of a gap draws from that gap's one law, on the substream
+    # bismut_gradient would use for it, so each point is its estimate exactly
+    model = kinetic if kind == "kinetic" else _sigma_in_time()
+    f = lambda z: np.tanh(z[:, 0] / 0.1)
+    gaps = [2.0 ** (-j) for j in range(5, 1, -1)]
+    probes = np.array([[0.0, -0.5], [0.2, 0.0], [0.0, 0.5]])
+    v = [1.0, 0.0]
+    n, N = 150, 32
+    fit = scaling_exponent(model, f, "x", gaps, budget=n * len(gaps) * len(probes),
+                           probes=probes, seed=4, n_steps=N)
+    assert fit.n_per_point == n
+    for gi, g in enumerate(gaps):
+        ests = [bismut_gradient(model, 0.0, g, f, zp, v, n_paths=n, n_steps=N, seed=4,
+                                stream=("bismut", "scaling", f"{gi}", f"{pi}")).value
+                for pi, zp in enumerate(probes)]
+        assert fit.values[gi] == max(abs(e) for e in ests)

@@ -16,7 +16,7 @@ import degenflow
 from degenflow.cli import main
 from degenflow.config import load_config, validate_config
 from degenflow import scenarios
-from degenflow.errors import ConfigError, CoverageError
+from degenflow.errors import AccuracyWarning, ConfigError, CoverageError
 from degenflow.scenarios import ANCHORS, SCENARIOS
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -278,6 +278,19 @@ def test_python_m_degenflow_runs_the_cli():
     assert proc.stdout.startswith(f"{len(SCENARIOS)} scenarios:")
 
 
+def test_low_budget_scaling_states_paths_per_point(tmp_path):
+    cfg = tmp_path / "gs.yaml"
+    cfg.write_text("experiment:\n  scenario: gradient_scaling\n  seed: 7\n  budget: 1\n")
+    with pytest.warns(AccuracyWarning):
+        code, out, err = _run_cli("run", str(cfg), "--outdir", str(tmp_path / "out"))
+    assert code == 0, err
+    lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    for anchor in ("gradient-x-exponent", "gradient-y-exponent"):
+        claim = [ln for ln in lines if ln.startswith(f"[{anchor}]")]
+        assert len(claim) == 1
+        assert claim[0].endswith("; low budget: 2 paths per point")
+
+
 def test_rerun_reproduces_outputs_byte_for_byte(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -349,7 +362,9 @@ def test_scenario_box_widens_for_paths_that_leave_it(tmp_path):
 def test_import_leaves_scipy_integrate_unloaded():
     src = str(Path(degenflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, degenflow; sys.exit('scipy.integrate' in sys.modules)"
+    code = ("import sys, degenflow\n"
+            "sys.exit(any(m in sys.modules for m in "
+            "('scipy.integrate', 'scipy.special', 'scipy.sparse')))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
     # the coupling check's terminal gap is closed-form, not quadrature
     code = ("import sys, degenflow as dg\n"

@@ -80,3 +80,12 @@ def test_picard_sweep_names_an_unmeasurable_contraction_factor(tmp_path):
     assert len(claim) == 1
     assert "not measurable" in claim[0] and "iterations" in claim[0]
     assert "0.000" not in claim[0]
+
+
+def test_picard_sweep_flags_a_slope_outside_the_claim_window(tmp_path):
+    # at base_points 1 the norm slope is about -0.82, outside [-0.6, -0.4]
+    raw = {"experiment": {"scenario": "picard_lambda_sweep", "seed": 1, "base_points": 1}}
+    lines = run_scenario(ScenarioConfig(raw=raw), tmp_path)
+    claim = [ln for ln in lines if ln.startswith("[field-norm-sqrt-decay]")]
+    assert len(claim) == 1
+    assert claim[0].endswith("(expected -1/2); outside the window [-0.6, -0.4]")
