@@ -204,10 +204,16 @@ class StepKernel:
         return self.Kmat.shape[1]
 
     def draw(self, rng: np.random.Generator, n_paths: int):
-        """(dW, eta) with the exact joint law."""
-        dW = math.sqrt(self.h) * rng.standard_normal((n_paths, self.k))
-        xi = rng.standard_normal((n_paths, self.E.shape[0]))
-        eta = dW @ self.Kmat.T + xi @ self.L.T
+        """(dW, eta) with the exact joint law.
+
+        One generator call: the first n_paths k normals are the increments
+        and the rest the independent part, the same stream as drawing them
+        in two calls.
+        """
+        k = self.k
+        g = rng.standard_normal(n_paths * (k + self.E.shape[0]))
+        dW = math.sqrt(self.h) * g[: n_paths * k].reshape(n_paths, k)
+        eta = dW @ self.Kmat.T + g[n_paths * k:].reshape(n_paths, -1) @ self.L.T
         return dW, eta
 
 

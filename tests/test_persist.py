@@ -64,7 +64,7 @@ def test_trajectory_round_trip_keeps_a_blowup_and_one_path_only(kinetic, tmp_pat
     explosive = DriftSpec(fn=lambda t, x, y: y ** 3, m=1, d=1, alpha=0.75,
                           phi=Modulus.power(1.0, 0.5), K=1.0, bound=None)
     ens = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 64, noise=1,
-                             n_paths=2, threshold=1e6)
+                             n_paths=2)
     assert np.all(np.isfinite(ens.blowup_times))
     path = tmp_path / "traj.dgfb"
     with pytest.raises(ValueError):

@@ -9,12 +9,13 @@ import pytest
 from scipy import integrate
 
 from conftest import assert_within_se
+from degenflow import sde
 from degenflow.errors import CoverageError, IterationError, NonOsgoodWarning
 from degenflow.linear_flow import _step_kernels, sample_linear, transition_law
 from degenflow.model import SpectralModel, _expm, build_drift, build_example
 from degenflow.regularization import FunctionField, GridSpec, picard_solve
-from degenflow.sde import (BihariBound, coarsen_noise, cutoff_drift,
-                           dissipation_envelope, integrate_ensemble,
+from degenflow.sde import (BLOWUP_THRESHOLD, BihariBound, NoiseRecord, coarsen_noise,
+                           cutoff_drift, dissipation_envelope, integrate_ensemble,
                            make_noise, noise_from_bundle,
                            representation_residual, uniqueness_experiment)
 from degenflow.streams import substream
@@ -81,11 +82,98 @@ def test_blowup_recorded_not_raised(kinetic):
     from degenflow.model import DriftSpec, Modulus
     explosive = DriftSpec(fn=lambda t, x, y: y ** 3, m=1, d=1, alpha=0.75,
                           phi=Modulus.power(1.0, 0.5), K=1.0, bound=None)
-    traj = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 256, noise=1,
-                              threshold=1e6)
+    traj = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 256, noise=1)
     assert np.isfinite(traj.blowup_times[0])
     # frozen after exit: finite everywhere
     assert np.all(np.isfinite(traj.Z))
+
+
+def _first_convolutions(eta):
+    """A record on [0, 1] whose convolutions are ``eta`` (paths x steps x 2):
+    from z0 = 0 under the zero drift, the state at times[1] is eta[:, 0]."""
+    eta = np.asarray(eta, dtype=float)
+    P, N = eta.shape[:2]
+    return NoiseRecord(times=np.linspace(0.0, 1.0, N + 1), dW=np.zeros((P, N, 1)), eta=eta)
+
+
+class _CountingNumpy:
+    """numpy with its ``sqrt`` calls counted: in ``integrate_ensemble`` only
+    the per-path blow-up test takes a square root."""
+
+    def __init__(self):
+        self.sqrt_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sqrt(self, x):
+        self.sqrt_calls += 1
+        return np.sqrt(x)
+
+
+def _integrate_from_zero(model, rec):
+    b = build_drift("zero", 1, 1)
+    return integrate_ensemble(model, b, np.zeros(2), 1.0, rec.n_steps, noise=rec,
+                              n_paths=rec.n_paths)
+
+
+def test_blowup_screen_flags_exactly_the_per_path_exits(kinetic, monkeypatch):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(sde, "np", counting)
+    below = 1e8 - 8.0           # inside the screen's margin band
+    assert sde._SCREEN_SQ < below ** 2 < BLOWUP_THRESHOLD ** 2
+    ens = _integrate_from_zero(kinetic, _first_convolutions([[[0.0, below]]]))
+    assert ens.Z[0, 1, 1] == below and np.isnan(ens.blowup_times[0])
+    assert counting.sqrt_calls == 1        # the band reaches the per-path test
+    above = np.nextafter(BLOWUP_THRESHOLD, np.inf)
+    ens = _integrate_from_zero(kinetic, _first_convolutions([[[0.0, above]]]))
+    assert ens.blowup_times[0] == ens.times[1]
+    counting.sqrt_calls = 0
+    # the screen bounds the square sum over all paths
+    ens = _integrate_from_zero(kinetic, _first_convolutions([[[0.0, 0.999e8]], [[3.0, 4.0]]]))
+    assert np.all(np.isnan(ens.blowup_times))
+    assert counting.sqrt_calls == 0        # below the band the screen decides
+
+
+def _per_path_exits(model, rec):
+    """Zero-drift integration from 0 that runs the per-path test every step."""
+    E = _step_kernels(model, 0.0, 1.0, rec.n_steps)[0].E
+    z = np.zeros((rec.n_paths, 2))
+    Z = [z]
+    blow = np.full(rec.n_paths, np.nan)
+    for i in range(rec.n_steps):
+        alive = np.isnan(blow)
+        z = np.where(alive[:, None], z @ E.T + rec.eta[:, i], z)
+        out = alive & (np.sqrt((z * z).sum(axis=-1)) > BLOWUP_THRESHOLD)
+        blow[out] = rec.times[i + 1]
+        Z.append(z)
+    return np.stack(Z, axis=1), blow
+
+
+def test_blowup_screen_matches_per_path_test_across_steps(kinetic):
+    # kinetic, h = 1/4: x' = x + y/4, y' = y; dyadic entries keep every sum exact
+    eta = np.zeros((3, 4, 2))
+    eta[0, 0] = [0.0, 1e8 - 8.0]    # in the band at t = 1/4, exits at t = 1/2
+    eta[1, 0] = [0.0, 1.0]
+    eta[1, 2] = [0.0, 2.0 ** 27]    # exits at t = 3/4
+    eta[2] = [1.0, -2.0]            # never exits
+    rec = _first_convolutions(eta)
+    ens = _integrate_from_zero(kinetic, rec)
+    Z, blow = _per_path_exits(kinetic, rec)
+    np.testing.assert_array_equal(ens.blowup_times, [0.5, 0.75, np.nan])
+    np.testing.assert_array_equal(ens.blowup_times, blow)
+    np.testing.assert_array_equal(ens.Z, Z)
+
+
+def test_blowup_screen_passes_inf_and_nan_to_the_per_path_test(kinetic):
+    eta = np.zeros((3, 1, 2))
+    eta[0, 0, 1] = np.inf
+    eta[1, 0, 1] = np.nan
+    eta[2, 0, 1] = 2e8
+    ens = _integrate_from_zero(kinetic, _first_convolutions(eta))
+    # inf exits; a nan state never compares above the threshold and hides
+    # no other path's exit
+    np.testing.assert_array_equal(ens.blowup_times, [1.0, np.nan, 1.0])
 
 
 def test_coarsen_noise_exact_for_linear_flow(kinetic):
@@ -111,6 +199,20 @@ def test_make_noise_matches_per_step_draws(kinetic):
             np.testing.assert_array_equal(rec.times, np.linspace(0.25, 1.0, 41))
             np.testing.assert_array_equal(rec.dW, np.stack([d[0] for d in draws], axis=1))
             np.testing.assert_array_equal(rec.eta, np.stack([d[1] for d in draws], axis=1))
+
+
+@pytest.mark.parametrize("n_paths", [1, 3, 500])
+def test_step_draw_is_the_two_call_stream(kinetic, n_paths):
+    for model in (kinetic, _skewed_model()):
+        for ker in _step_kernels(model, 0.0, 1.0, 4)[::3]:
+            rng = substream(6, "t", "draw")
+            dW, eta = ker.draw(rng, n_paths)
+            ref = substream(6, "t", "draw")
+            dW2 = math.sqrt(ker.h) * ref.standard_normal((n_paths, ker.k))
+            xi = ref.standard_normal((n_paths, model.dim))
+            assert np.all(dW == dW2)
+            assert np.all(eta == dW2 @ ker.Kmat.T + xi @ ker.L.T)
+            assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_record_helpers_match_stepwise_loops(kinetic):
@@ -319,6 +421,24 @@ def test_residual_matches_stepwise_recursion():
             # each path runs the matrix products of its own one-path call
             alone = representation_residual(model, b, ens.path(p), field, 16.0)
             np.testing.assert_array_equal(rep.per_time[p], alone.per_time[0])
+
+
+def test_residual_constant_sigma_equals_stacked_sigma():
+    sigma = np.array([[1.0, 0.3], [0.2, 0.7]])
+    model, _ = build_example("kinetic", d=2, sigma=sigma)
+    stacked = replace(model, sigma=lambda t: sigma)   # callable: sigma stacked per step
+    assert model.sigma_constant and not stacked.sigma_constant
+    b = build_drift("zero", 2, 2)
+    mix = np.array([[0.5, -0.25], [0.75, 0.125]])
+    field = FunctionField(
+        lambda ts, pts: (1.0 - ts)[:, None] * np.sin(pts[:, 2:] @ mix.T + pts[:, :1]), 2, 2,
+        jac_fn=lambda ts, pts: ((1.0 - ts)[:, None, None]
+                                * np.cos(pts[:, 2:] @ mix.T + pts[:, :1])[:, :, None] * mix))
+    ens = integrate_ensemble(model, b, np.full(4, 0.1), 1.0, 64, noise=12, n_paths=3)
+    rep = representation_residual(model, b, ens, field, 8.0)
+    ref = representation_residual(stacked, b, ens, field, 8.0)
+    assert np.max(rep.per_time) > 1e-3
+    assert np.all(rep.per_time == ref.per_time)
 
 
 def test_representation_coverage_error(kinetic):
