@@ -294,7 +294,8 @@ def _law_moments(model: SpectralModel, windows):
     flows = []
     for j, (times, hvec) in enumerate(windows):
         n = times.size - 1
-        kers = _step_kernels(model, times[0], times[-1], n)
+        kers = [ker for ker, r in _step_kernels(model, times[0], times[-1], n)
+                for _ in range(r)]
         h = kers[0].h
         pows = _powers(kers[0].E, n + 1)
         EN, R = pows[n], pows[n - 1::-1]

@@ -16,7 +16,8 @@ A, stiff or not), and cross-checkable by direct quadrature.  Sampling
 records the raw Brownian increments dW per step and draws the exact
 within-step noise convolution conditionally on them, so paths are exactly
 distributed while the increments remain available for stochastic-integral
-weights and common-noise reuse.
+weights and common-noise reuse.  Whole runs of steps are drawn at once,
+one generator call per block of steps.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ __all__ = [
     "hs_noise_integral",
     "psd_sqrt",
 ]
+
+# normals per generator call of a multi-step draw (512 KiB of float64)
+_BLOCK_NORMALS = 1 << 16
 
 
 def psd_sqrt(S: np.ndarray) -> np.ndarray:
@@ -203,17 +207,32 @@ class StepKernel:
     def k(self) -> int:
         return self.Kmat.shape[1]
 
-    def draw(self, rng: np.random.Generator, n_paths: int):
-        """(dW, eta) with the exact joint law.
+    def draw(self, rng: np.random.Generator, n_paths: int, n_steps: int):
+        """Step-major (dW, eta) of n_steps steps with the exact joint law,
+        shaped (n_steps, n_paths, k) and (n_steps, n_paths, m+d).
 
-        One generator call: the first n_paths k normals are the increments
-        and the rest the independent part, the same stream as drawing them
-        in two calls.
+        Each step takes n_paths (k + m + d) normals, the increments first and
+        the independent part after, so one n-step draw is the same stream and
+        the same bits as n one-step draws.  The normals come from one
+        generator call per block of whole steps holding at most
+        ``_BLOCK_NORMALS`` of them (one step if a step holds more), and each
+        block is written into the returned arrays, so the scratch stays one
+        block.  eta is the stacked product, one matrix product per step: BLAS
+        computes a one-row product by another kernel than a many-row one, so
+        flattening the steps into one product would change the last bits.
         """
-        k = self.k
-        g = rng.standard_normal(n_paths * (k + self.E.shape[0]))
-        dW = math.sqrt(self.h) * g[: n_paths * k].reshape(n_paths, k)
-        eta = dW @ self.Kmat.T + g[n_paths * k:].reshape(n_paths, -1) @ self.L.T
+        k, dim = self.k, self.E.shape[0]
+        width = n_paths * (k + dim)
+        block = max(1, _BLOCK_NORMALS // width)
+        dW = np.empty((n_steps, n_paths, k))
+        eta = np.empty((n_steps, n_paths, dim))
+        root = math.sqrt(self.h)
+        for a in range(0, n_steps, block):
+            n = min(block, n_steps - a)
+            g = rng.standard_normal((n, width))
+            dw = np.multiply(root, g[:, : n_paths * k].reshape(n, n_paths, k), out=dW[a:a + n])
+            np.matmul(dw, self.Kmat.T, out=eta[a:a + n])
+            eta[a:a + n] += g[:, n_paths * k:].reshape(n, n_paths, dim) @ self.L.T
         return dW, eta
 
 
@@ -229,11 +248,29 @@ def step_kernel(model: SpectralModel, s: float, h: float) -> StepKernel:
 
 
 def _step_kernels(model: SpectralModel, s: float, t: float, n_steps: int):
+    """Runs (kernel, n) covering the uniform grid on [s, t] in order: one run
+    of n_steps for a constant sigma, one run of length 1 per step (sigma read
+    at the step's left end) for a time-dependent one."""
     h = (t - s) / n_steps
     if model.sigma_constant:
-        return [step_kernel(model, s, h)] * n_steps
+        return [(step_kernel(model, s, h), n_steps)]
     times = np.linspace(s, t, n_steps + 1)
-    return [step_kernel(model, float(times[i]), h) for i in range(n_steps)]
+    return [(step_kernel(model, float(times[i]), h), 1) for i in range(n_steps)]
+
+
+def _draw_steps(model: SpectralModel, s: float, t: float, n_paths: int,
+                n_steps: int, rng: np.random.Generator):
+    """(runs, dW, eta): the step kernels of the uniform grid on [s, t] and
+    their exact step-major draws, one ``StepKernel.draw`` per run."""
+    if n_paths < 1 or n_steps < 1:
+        raise ValueError("n_paths and n_steps must be >= 1")
+    if t <= s:
+        raise ValueError("t must exceed s")
+    runs = _step_kernels(model, s, t, n_steps)
+    draws = [ker.draw(rng, n_paths, n) for ker, n in runs]
+    # a single run is returned as drawn: joining would copy the whole record
+    dW, eta = draws[0] if len(draws) == 1 else (np.concatenate(a) for a in zip(*draws))
+    return runs, dW, eta
 
 
 @dataclass(frozen=True)
@@ -241,7 +278,8 @@ class PathBundle:
     """Sampled linear-flow paths with their driving Brownian increments.
 
     Arrays are path-major: X is (n_paths, N+1, m), Y is (n_paths, N+1, d),
-    dW is (n_paths, N, k).  Per-step increments have covariance h I, and the
+    dW is (n_paths, N, k), a path-major view of step-major memory as in a
+    NoiseRecord.  Per-step increments have covariance h I, and the
     states were advanced with the exact conditional noise convolution, so the
     same randomness can be reused for common-noise experiments.
     """
@@ -269,27 +307,25 @@ class PathBundle:
 def sample_linear(model: SpectralModel, s: float, t: float, z,
                   n_paths: int, n_steps: int, seed: int,
                   stream: Sequence[str] = ("linear_flow", "sample")) -> PathBundle:
-    """Sample exact linear-flow paths on a uniform grid over [s, t]."""
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError("n_paths and n_steps must be >= 1")
-    if t <= s:
-        raise ValueError("t must exceed s")
+    """Sample exact linear-flow paths on a uniform grid over [s, t].
+
+    The increments and convolutions are drawn up front, one
+    ``StepKernel.draw`` per run of step kernels (the same stream and bits
+    as a draw per step), and the states advance one step at a time with each
+    step's kernel.
+    """
     rng = substream(seed, *stream)
     z = np.asarray(z, dtype=float).reshape(model.dim)
-    kers = _step_kernels(model, s, t, n_steps)
-    times = np.linspace(s, t, n_steps + 1)
-    k = kers[0].k
+    runs, dW, eta = _draw_steps(model, s, t, n_paths, n_steps, rng)
     Z = np.empty((n_paths, n_steps + 1, model.dim))
-    dW = np.empty((n_paths, n_steps, k))
     Z[:, 0, :] = z
     cur = np.broadcast_to(z, (n_paths, model.dim)).copy()
-    for i, ker in enumerate(kers):
-        dw, eta = ker.draw(rng, n_paths)
-        cur = cur @ ker.E.T + eta
+    for i, ker in enumerate(ker for ker, n in runs for _ in range(n)):
+        cur = cur @ ker.E.T + eta[i]
         Z[:, i + 1, :] = cur
-        dW[:, i, :] = dw
-    return PathBundle(times=times, X=Z[:, :, : model.m], Y=Z[:, :, model.m:],
-                      dW=dW, seed=int(seed), stream=stream_name(*stream))
+    return PathBundle(times=np.linspace(s, t, n_steps + 1), X=Z[:, :, : model.m],
+                      Y=Z[:, :, model.m:], dW=dW.transpose(1, 0, 2), seed=int(seed),
+                      stream=stream_name(*stream))
 
 
 # ---------------------------------------------------------------------------

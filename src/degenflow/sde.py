@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CoverageError, IterationError, NonOsgoodWarning
-from .linear_flow import PathBundle, _step_kernels, _step_law
+from .linear_flow import PathBundle, _draw_steps, _step_law
 from .model import DriftSpec, SpectralModel, _expm
 from .regularization import FieldGrid
 from .streams import stream_name, substream
@@ -107,17 +107,15 @@ def make_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
                s: float = 0.0) -> NoiseRecord:
     """Record of ``n_paths`` x ``n_steps`` exact step draws on [s, T].
 
-    One ``StepKernel.draw`` per step, so a record is the same stream and the
-    same bits as stepping the linear flow.  The arrays are step-major in
-    memory (path-major views), so one step's slice across paths is
-    contiguous.
+    One ``StepKernel.draw`` per run of step kernels: a single call for a
+    constant sigma, one per step for a time-dependent one.  Either way the
+    record is the same stream and the same bits as stepping the linear flow
+    one draw per step.  The arrays are step-major in memory (path-major
+    views), so one step's slice across paths is contiguous.  Raises
+    ValueError unless n_steps >= 1, n_paths >= 1 and T > s.
     """
     rng = substream(seed, *stream)
-    kers = _step_kernels(model, s, T, n_steps)
-    dW = np.empty((n_steps, n_paths, kers[0].k))
-    eta = np.empty((n_steps, n_paths, model.dim))
-    for i, ker in enumerate(kers):
-        dW[i], eta[i] = ker.draw(rng, n_paths)
+    _, dW, eta = _draw_steps(model, s, T, n_paths, n_steps, rng)
     return NoiseRecord(times=np.linspace(s, T, n_steps + 1),
                        dW=dW.transpose(1, 0, 2), eta=eta.transpose(1, 0, 2))
 

@@ -272,7 +272,9 @@ def _stepwise_moments(model, z, windows):
     P = np.zeros((model.dim, model.dim))
     C = np.zeros((model.dim, len(windows)))
     for j, (times, hvec) in enumerate(windows):
-        for ker, hi in zip(_step_kernels(model, times[0], times[-1], times.size - 1), hvec):
+        kers = [ker for ker, n in _step_kernels(model, times[0], times[-1], times.size - 1)
+                for _ in range(n)]
+        for ker, hi in zip(kers, hvec):
             mean = ker.E @ mean
             P = ker.E @ P @ ker.E.T + ker.G
             C = ker.E @ C

@@ -1,6 +1,8 @@
 """Mild integration, cutoffs, common-noise experiments, Bihari envelopes."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -26,6 +28,18 @@ def _skewed_model():
     return SpectralModel(
         m=1, d=2, A1=[[0.0]], A2=[[-1.0, 0.5], [-0.3, -0.8]], B=[[1.0, 0.5]],
         A0=[[0.0]], sigma=lambda t: [[1.0 + 0.5 * t, 0.2], [0.0, 0.8]])
+
+
+def _per_step_kernels(model, s, t, n_steps):
+    """One step kernel per step of the uniform grid on [s, t]."""
+    return [ker for ker, n in _step_kernels(model, s, t, n_steps) for _ in range(n)]
+
+
+def _two_call_draw(ker, rng, n_paths):
+    """One step's (dW, eta): the increments, then the independent part."""
+    dW = math.sqrt(ker.h) * rng.standard_normal((n_paths, ker.k))
+    xi = rng.standard_normal((n_paths, ker.E.shape[0]))
+    return dW, dW @ ker.Kmat.T + xi @ ker.L.T
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +151,7 @@ def test_blowup_screen_flags_exactly_the_per_path_exits(kinetic, monkeypatch):
 
 def _per_path_exits(model, rec):
     """Zero-drift integration from 0 that runs the per-path test every step."""
-    E = _step_kernels(model, 0.0, 1.0, rec.n_steps)[0].E
+    E = _step_kernels(model, 0.0, 1.0, rec.n_steps)[0][0].E
     z = np.zeros((rec.n_paths, 2))
     Z = [z]
     blow = np.full(rec.n_paths, np.nan)
@@ -189,35 +203,94 @@ def test_coarsen_noise_exact_for_linear_flow(kinetic):
 
 
 def test_make_noise_matches_per_step_draws(kinetic):
-    for model in (kinetic, _skewed_model()):
-        for n_paths in (1, 3):
-            rec = make_noise(model, 1.0, 40, n_paths, seed=8, stream=("t", "rec"),
-                             s=0.25)
-            rng = substream(8, "t", "rec")
-            draws = [ker.draw(rng, n_paths)
-                     for ker in _step_kernels(model, 0.25, 1.0, 40)]
-            np.testing.assert_array_equal(rec.times, np.linspace(0.25, 1.0, 41))
-            np.testing.assert_array_equal(rec.dW, np.stack([d[0] for d in draws], axis=1))
-            np.testing.assert_array_equal(rec.eta, np.stack([d[1] for d in draws], axis=1))
+    second_order, _ = build_example("second_order")
+    # P = 700 crosses the draw's block boundaries (31 steps per block on
+    # kinetic, 18 on the skewed model); one path over 1024 steps is where a
+    # product flattened across steps changes the last bits
+    cases = [(kinetic, 1, 40), (kinetic, 3, 40), (kinetic, 700, 100),
+             (_skewed_model(), 1, 40), (_skewed_model(), 3, 40), (_skewed_model(), 700, 100),
+             (second_order, 1, 1024)]
+    for (model, n_paths, n_steps), s in itertools.product(cases, (0.0, 0.1, 0.25)):
+        rec = make_noise(model, 1.0, n_steps, n_paths, seed=8, stream=("t", "rec"), s=s)
+        rng = substream(8, "t", "rec")
+        draws = [_two_call_draw(ker, rng, n_paths)
+                 for ker in _per_step_kernels(model, s, 1.0, n_steps)]
+        np.testing.assert_array_equal(rec.times, np.linspace(s, 1.0, n_steps + 1))
+        np.testing.assert_array_equal(rec.dW, np.stack([d[0] for d in draws], axis=1))
+        np.testing.assert_array_equal(rec.eta, np.stack([d[1] for d in draws], axis=1))
 
 
 @pytest.mark.parametrize("n_paths", [1, 3, 500])
 def test_step_draw_is_the_two_call_stream(kinetic, n_paths):
     for model in (kinetic, _skewed_model()):
-        for ker in _step_kernels(model, 0.0, 1.0, 4)[::3]:
+        for ker in _per_step_kernels(model, 0.0, 1.0, 4)[::3]:
             rng = substream(6, "t", "draw")
-            dW, eta = ker.draw(rng, n_paths)
+            dW, eta = ker.draw(rng, n_paths, 1)
+            assert dW.shape == (1, n_paths, ker.k) and eta.shape == (1, n_paths, model.dim)
             ref = substream(6, "t", "draw")
             dW2 = math.sqrt(ker.h) * ref.standard_normal((n_paths, ker.k))
             xi = ref.standard_normal((n_paths, model.dim))
-            assert np.all(dW == dW2)
-            assert np.all(eta == dW2 @ ker.Kmat.T + xi @ ker.L.T)
+            assert np.all(dW[0] == dW2)
+            assert np.all(eta[0] == dW2 @ ker.Kmat.T + xi @ ker.L.T)
             assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("n_paths, n_steps", [(1, 1024), (3, 40), (700, 100), (22000, 3)])
+def test_multi_step_draw_is_the_one_step_draws(kinetic, n_paths, n_steps):
+    # 22000 paths put more than one block's normals in a single step
+    second_order, _ = build_example("second_order")
+    for model in (kinetic, second_order, _skewed_model()):
+        ker = _step_kernels(model, 0.0, 1.0, n_steps)[0][0]
+        rng = substream(2, "t", "multi")
+        dW, eta = ker.draw(rng, n_paths, n_steps)
+        ref = substream(2, "t", "multi")
+        steps = [ker.draw(ref, n_paths, 1) for _ in range(n_steps)]
+        np.testing.assert_array_equal(dW, np.concatenate([d[0] for d in steps]))
+        np.testing.assert_array_equal(eta, np.concatenate([d[1] for d in steps]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_linear_matches_a_per_step_loop(kinetic):
+    for model, n_paths, n_steps in ((kinetic, 1, 256), (kinetic, 700, 50),
+                                    (_skewed_model(), 3, 40)):
+        z = np.linspace(0.3, -0.2, model.dim)
+        bundle = sample_linear(model, 0.25, 1.0, z, n_paths, n_steps, seed=5)
+        rng = substream(5, "linear_flow", "sample")
+        cur = np.broadcast_to(z, (n_paths, model.dim)).copy()
+        Z, dW = [cur], []
+        for ker in _per_step_kernels(model, 0.25, 1.0, n_steps):
+            dw, eta = _two_call_draw(ker, rng, n_paths)
+            cur = cur @ ker.E.T + eta
+            Z.append(cur)
+            dW.append(dw)
+        np.testing.assert_array_equal(bundle.Z, np.stack(Z, axis=1))
+        np.testing.assert_array_equal(bundle.dW, np.stack(dW, axis=1))
+
+
+@pytest.mark.parametrize("bad", [dict(n_steps=0), dict(n_paths=0), dict(T=0.5),
+                                 dict(T=0.4)])
+def test_make_noise_rejects_an_empty_grid(kinetic, bad):
+    args = dict(T=1.0, n_steps=4, n_paths=2, s=0.5) | bad
+    with pytest.raises(ValueError, match="must"):
+        make_noise(kinetic, args["T"], args["n_steps"], args["n_paths"], 1, s=args["s"])
+
+
+def test_make_noise_peak_memory_is_the_record_plus_one_block(kinetic):
+    # the blocked draw keeps its scratch to one block; drawing the whole
+    # record's normals at once would add about 12 MiB here
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rec = make_noise(kinetic, 2.0, 1024, 500, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rec.dW.nbytes + rec.eta.nbytes + 2 * 2 ** 20
 
 
 def test_record_helpers_match_stepwise_loops(kinetic):
     for model in (kinetic, _skewed_model()):
-        E = _step_kernels(model, 0.0, 1.0, 32)[0].E
+        E = _step_kernels(model, 0.0, 1.0, 32)[0][0].E
         rec = make_noise(model, 1.0, 32, 3, seed=9)
         cn = coarsen_noise(model, rec, 4)
         for g in range(8):
@@ -227,7 +300,7 @@ def test_record_helpers_match_stepwise_loops(kinetic):
             np.testing.assert_array_equal(cn.eta[:, g, :], acc)
         np.testing.assert_array_equal(cn.dW, rec.dW.reshape(3, 8, 4, -1).sum(axis=2))
     bundle = sample_linear(kinetic, 0.0, 1.0, [0.3, -0.2], 3, 16, seed=5)
-    E = _step_kernels(kinetic, 0.0, 1.0, 16)[0].E
+    E = _step_kernels(kinetic, 0.0, 1.0, 16)[0][0].E
     Z = bundle.Z
     expected = np.stack([Z[:, i + 1, :] - Z[:, i, :] @ E.T for i in range(16)], axis=1)
     np.testing.assert_array_equal(noise_from_bundle(kinetic, bundle).eta, expected)
