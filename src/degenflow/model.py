@@ -708,8 +708,14 @@ def build_drift(tag: str, m: int, d: int, **kw) -> DriftSpec:
         c = np.asarray(kw.pop("value", np.ones(d)), dtype=float)
         if c.shape != (d,):
             c = np.full(d, float(c))
+
+        def fn(t, x, y):
+            # a filled array costs less per call than a broadcast view
+            out = np.empty(y.shape)
+            out[...] = c
+            return out
         spec = DriftSpec(
-            fn=lambda t, x, y: np.broadcast_to(c, y.shape),
+            fn=fn,
             m=m, d=d, alpha=0.75, phi=Modulus.power(1.0, 0.5), K=1.0,
             bound=float(np.linalg.norm(c)),
             ell=lambda s: float(np.linalg.norm(c)) ** 2 / 2.0 + 0.5 + 0.5 * np.asarray(s, dtype=float),

@@ -233,8 +233,8 @@ def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
     convolution.  ``noise`` is a NoiseRecord on this grid, or a seed for
     ``make_noise`` (a PathBundle's record is ``noise_from_bundle``), which
     the result then records with its stream.  Paths whose state norm
-    exceeds ``BLOWUP_THRESHOLD`` freeze at their exit value with the exit
-    time recorded.
+    exceeds ``BLOWUP_THRESHOLD``, or is nan, freeze at their exit value with
+    the exit time recorded.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -268,10 +268,10 @@ def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
             # exact one, so a total at most _SCREEN_SQ leaves every path's
             # computed norm at or below the threshold for up to 10^9 entries
             # (paths x dim).  Only a larger total, or an inf or nan one, runs
-            # the per-path test.
+            # the per-path test, which also takes a nan norm as an exit.
             flat = znew.ravel()
             if not flat @ flat <= _SCREEN_SQ:
-                exploded = np.sqrt((znew * znew).sum(axis=-1)) > BLOWUP_THRESHOLD
+                exploded = ~(np.sqrt((znew * znew).sum(axis=-1)) <= BLOWUP_THRESHOLD)
                 if exploded.any():
                     ids = np.flatnonzero(alive)[exploded]
                     blow_t[ids] = times[i + 1]
@@ -358,8 +358,8 @@ def uniqueness_experiment(model: SpectralModel, b: DriftSpec, z0,
     identical arithmetic and the gap is exactly zero.  Blow-ups are reported
     in the table, not raised.
     """
-    if perturbation < 0:
-        raise ValueError("perturbation must be >= 0")
+    if not 0.0 <= perturbation < math.inf:
+        raise ValueError("perturbation must be finite and >= 0")
     z0 = np.asarray(z0, dtype=float).reshape(model.dim)
     direction = np.ones(model.dim) / math.sqrt(model.dim)
     starts = np.stack([z0, z0 + perturbation * direction])
@@ -461,6 +461,8 @@ def representation_residual(model: SpectralModel, b: DriftSpec,
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+# paths per block of the envelope's margin pass
+_MARGIN_BLOCK = 64
 
 
 def _gl_panel(ell: Callable, C, a, b) -> np.ndarray:
@@ -474,13 +476,25 @@ def _gl_panel(ell: Callable, C, a, b) -> np.ndarray:
     return half * (f * _GL_W).sum(axis=-1)
 
 
+def _gamma_knots(ell: Callable, Cu: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Gamma at the ladder knots 2^lo .. 2^hi (lo <= 0 <= hi), one row per C.
+
+    The panels [2^j, 2^(j+1)] are integrated once per C and summed outward
+    from 1, so a knot's value does not depend on lo or hi.
+    """
+    left = np.ldexp(1.0, np.arange(lo, hi))
+    panels = _gl_panel(ell, Cu[:, None], left, 2.0 * left)
+    return np.concatenate([-np.cumsum(panels[:, :-lo][:, ::-1], axis=1)[:, ::-1],
+                           np.zeros((Cu.size, 1)),
+                           np.cumsum(panels[:, -lo:], axis=1)], axis=1)
+
+
 def _gamma(ell: Callable, C, s) -> np.ndarray:
     """Gamma(s) = int_1^s dr / (2 ell(C + C r)), broadcast over C and s.
 
-    The panels [2^j, 2^(j+1)] of a ratio-2 ladder through 1 are integrated
-    once per distinct C and summed outward from 1; each s >= 0 adds one
-    panel from its ladder knot 2^k <= s up to s, so the points need not be
-    sorted and none changes the value at another.  An affine ell puts the
+    Each s >= 0 adds one panel from its ladder knot 2^k <= s up to s to
+    Gamma at that knot (``_gamma_knots``), so the points need not be sorted
+    and none changes the value at another.  An affine ell puts the
     integrand's pole at r <= -1, at -3 or beyond on every panel mapped to
     [-1, 1], so the 10-node rule errs by about (3 + sqrt 8)^-20 = 5e-16
     relative (8 nodes leave 1.6e-12 for ell = 1 + s^2).
@@ -489,12 +503,7 @@ def _gamma(ell: Callable, C, s) -> np.ndarray:
     Cu, which = np.unique(C.ravel(), return_inverse=True)
     k = np.frexp(s)[1] - 1                          # 2^k <= s < 2^(k+1)
     lo, hi = min(int(k.min()), 0), max(int(k.max()), 0)
-    left = np.ldexp(1.0, np.arange(lo, hi))
-    panels = _gl_panel(ell, Cu[:, None], left, 2.0 * left)
-    # Gamma at the knots 2^lo .. 2^hi, each a running sum from 1 outward
-    knots = np.concatenate([-np.cumsum(panels[:, :-lo][:, ::-1], axis=1)[:, ::-1],
-                            np.zeros((Cu.size, 1)),
-                            np.cumsum(panels[:, -lo:], axis=1)], axis=1)
+    knots = _gamma_knots(ell, Cu, lo, hi)
     return knots[which.reshape(s.shape), k - lo] + _gl_panel(ell, C, np.ldexp(1.0, k), s)
 
 
@@ -507,10 +516,10 @@ class BihariBound:
     """
 
     def __init__(self, ell: Callable, eta_T: float, C_env: float):
-        if C_env <= 1.0:
-            raise ValueError("C_env must exceed 1")
-        if eta_T <= 0.0:
-            raise ValueError("eta_T must be positive")
+        if not 1.0 < C_env < math.inf:
+            raise ValueError("C_env must be finite and exceed 1")
+        if not 0.0 < eta_T < math.inf:
+            raise ValueError("eta_T must be finite and positive")
         self.ell = ell
         self.eta_T = float(eta_T)
         self.C = float(C_env)
@@ -606,16 +615,39 @@ def dissipation_envelope(model: SpectralModel, b: DriftSpec, z0, T: float,
     del Z
 
     # sup_sq is nondecreasing in t, so each path's margin is least where
-    # sup_sq takes a new value (or at t = 0); Gamma is needed only there,
-    # taken in blocks so the quadrature nodes stay small
-    first = np.ones(sup_sq.shape, dtype=bool)
-    first[:, 1:] = sup_sq[:, 1:] != sup_sq[:, :-1]
-    p, i = np.nonzero(first)
-    gvals = np.empty(p.size)
-    for a in range(0, p.size, 2 ** 14):
-        blk = slice(a, a + 2 ** 14)
-        gvals[blk] = _gamma(b.ell, C[p[blk]], sup_sq[p[blk], i[blk]])
-    margins = np.minimum.reduceat(_gamma(b.ell, C, eta)[p] + times[i] - gvals,
-                                  np.flatnonzero(i == 0))
+    # sup_sq takes a new value (or at t = 0).  At such a record point s the
+    # computed Gamma is knots[k] + panel(2^k, s) with 2^k <= s < 2^(k+1) and
+    # the panel >= 0, so the point's margin is at most top - knots[k]
+    # (rounding is monotone) and at least top - knots[k+1], up to the rule
+    # error, far inside the slack below.  The quadrature runs only where
+    # that lower bound reaches the path's least upper bound; every other
+    # point's margin exceeds the least margin, which is therefore the same
+    # value as over all record points.
+    g_eta = _gamma(b.ell, C, eta)
+    margins = np.empty(sup_sq.shape[0])
+    for a in range(0, margins.size, _MARGIN_BLOCK):
+        blk = slice(a, a + _MARGIN_BLOCK)
+        S = sup_sq[blk]
+        first = np.ones(S.shape, dtype=bool)
+        first[:, 1:] = S[:, 1:] != S[:, :-1]
+        p, i = np.nonzero(first)
+        s = S[p, i]
+        Cb = C[blk]
+        Cu, row = np.unique(Cb, return_inverse=True)
+        k = np.frexp(s)[1] - 1
+        lo, hi = min(int(k.min()), 0), max(int(k.max()) + 1, 0)
+        knots = _gamma_knots(b.ell, Cu, lo, hi)
+        r = row[p]
+        top = g_eta[blk][p] + times[i]
+        above = knots[r, k + 1 - lo]
+        # s = 0, which a record point can be only at t = 0, has no knot
+        # interval: it bounds no other point and, as the first, is evaluated
+        least = np.minimum.reduceat(np.where(s > 0.0, top - knots[r, k - lo], np.inf),
+                                    np.flatnonzero(i == 0))
+        lower = top - above - 1e-12 * (np.abs(top) + np.abs(above))
+        keep = np.flatnonzero((i == 0) | ~(lower > least[p]))
+        p, i, k, s, r, top = p[keep], i[keep], k[keep], s[keep], r[keep], top[keep]
+        gvals = knots[r, k - lo] + _gl_panel(b.ell, Cb[p], np.ldexp(1.0, k), s)
+        margins[blk] = np.minimum.reduceat(top - gvals, np.flatnonzero(i == 0))
     return EnvelopeReport(eta_T=eta, C_env=C, margins=margins, n_blowups=n_blow,
                           sup_tilde_sq=sup_sq, times=times)

@@ -158,7 +158,7 @@ def _per_path_exits(model, rec):
     for i in range(rec.n_steps):
         alive = np.isnan(blow)
         z = np.where(alive[:, None], z @ E.T + rec.eta[:, i], z)
-        out = alive & (np.sqrt((z * z).sum(axis=-1)) > BLOWUP_THRESHOLD)
+        out = alive & ~(np.sqrt((z * z).sum(axis=-1)) <= BLOWUP_THRESHOLD)
         blow[out] = rec.times[i + 1]
         Z.append(z)
     return np.stack(Z, axis=1), blow
@@ -185,9 +185,25 @@ def test_blowup_screen_passes_inf_and_nan_to_the_per_path_test(kinetic):
     eta[1, 0, 1] = np.nan
     eta[2, 0, 1] = 2e8
     ens = _integrate_from_zero(kinetic, _first_convolutions(eta))
-    # inf exits; a nan state never compares above the threshold and hides
-    # no other path's exit
-    np.testing.assert_array_equal(ens.blowup_times, [1.0, np.nan, 1.0])
+    # inf and nan states both exit, and neither hides another path's exit
+    np.testing.assert_array_equal(ens.blowup_times, [1.0, 1.0, 1.0])
+
+
+def test_drift_that_turns_nan_freezes_its_path(kinetic):
+    # y' = -sqrt(y) reaches 0 at t = 2 sqrt(y0): from y0 = 1/2 an Euler
+    # step overshoots below 0 before T = 2, and the next sqrt gives nan;
+    # from y0 = 4 the path stays positive
+    model, _ = build_example("kinetic", d=1, sigma=np.zeros((1, 1)))
+    b = replace(build_drift("zero", 1, 1), fn=lambda t, x, y: -np.sqrt(y))
+    starts = np.array([[0.0, 0.5], [0.0, 4.0]])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        ens = integrate_ensemble(model, b, starts, 2.0, 64, noise=1, n_paths=2)
+    assert np.isfinite(ens.blowup_times[0]) and np.isnan(ens.blowup_times[1])
+    # the path exits one step after its state goes negative and stays frozen
+    k = int(np.flatnonzero(ens.times == ens.blowup_times[0])[0])
+    assert ens.Y[0, k - 1, 0] < 0.0 <= np.min(ens.Y[0, :k - 1])
+    assert np.all(np.isfinite(ens.Z[0, :k])) and np.all(np.isnan(ens.Z[0, k:]))
+    assert np.all(np.isfinite(ens.Z[1])) and np.all(ens.Y[1] > 0.0)
 
 
 def test_coarsen_noise_exact_for_linear_flow(kinetic):
@@ -362,6 +378,13 @@ def test_zero_perturbation_gap_exactly_zero(kinetic):
     table = uniqueness_experiment(kinetic, b, [0.3, 0.4], 0.0, 1.0,
                                   [64, 128, 256], seed=2)
     assert np.all(table.gaps() == 0.0)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_uniqueness_rejects_a_negative_or_non_finite_perturbation(kinetic, bad):
+    b = build_drift("rough_d1", 1, 1)
+    with pytest.raises(ValueError, match="perturbation must be finite and >= 0"):
+        uniqueness_experiment(kinetic, b, [0.3, 0.4], bad, 1.0, [64], seed=2)
 
 
 def test_stacked_uniqueness_rows_equal_single_runs(kinetic):
@@ -559,6 +582,15 @@ def test_bihari_t_zero_identity():
     assert abs(bb.curve(0.0) - 3.7) < 1e-8
 
 
+@pytest.mark.parametrize("eta_T, C_env, what", [
+    (np.nan, 1.5, "eta_T"), (np.inf, 1.5, "eta_T"), (0.0, 1.5, "eta_T"),
+    (2.0, np.nan, "C_env"), (2.0, np.inf, "C_env"), (2.0, 1.0, "C_env"),
+])
+def test_bihari_bound_rejects_non_finite_or_out_of_range_inputs(eta_T, C_env, what):
+    with pytest.raises(ValueError, match=what):
+        BihariBound(lambda s: 1.0 + np.asarray(s, dtype=float), eta_T, C_env)
+
+
 def test_non_osgood_warning():
     with pytest.warns(NonOsgoodWarning):
         BihariBound(lambda s: 1.0 + np.asarray(s, dtype=float) ** 2, 1.0, 2.0)
@@ -612,6 +644,83 @@ def test_envelope_margins_match_quadrature(kinetic):
         g_eta = _gamma_quad(b.ell, C, float(rep.eta_T[p]))
         gvals = np.array([_gamma_quad(b.ell, C, float(v)) for v in rep.sup_tilde_sq[p]])
         assert abs(rep.margins[p] - np.min(g_eta + rep.times - gvals)) <= 1e-10
+
+
+def _margins_at_every_record_point(rep, ell):
+    """Least margin per path with Gamma at every point where the running sup
+    takes a new value (or t = 0): the pass the envelope prunes."""
+    S = rep.sup_tilde_sq
+    first = np.ones(S.shape, dtype=bool)
+    first[:, 1:] = S[:, 1:] != S[:, :-1]
+    p, i = np.nonzero(first)
+    top = sde._gamma(ell, rep.C_env, rep.eta_T)[p] + rep.times[i]
+    return np.minimum.reduceat(top - sde._gamma(ell, rep.C_env[p], S[p, i]),
+                               np.flatnonzero(i == 0))
+
+
+@pytest.mark.parametrize("drift, z0, n_steps, n_paths, seed", [
+    ("dissipative", [0.5, 1.0], 256, 130, 21),
+    ("dissipative", [0.2, -0.7], 128, 64, 3),
+    ("dissipative", [0.5, 0.0], 256, 100, 8),      # Y0 = 0: the first point is s = 0
+    ("small_ell", [0.5, 1.0], 64, 40, 21),
+    ("small_ell", [0.5, 1.0], 512, 200, 5),
+    ("small_ell", [0.5, 0.0], 256, 100, 8),
+    ("growing", [0.5, 1.0], 256, 200, 21),          # negative margins
+])
+def test_envelope_margins_equal_gamma_at_every_record_point(kinetic, drift, z0, n_steps,
+                                                            n_paths, seed, monkeypatch):
+    b = build_drift("dissipative", 1, 1)
+    if drift == "small_ell":
+        b = replace(b, ell=lambda s: 0.02 * (1.0 + np.asarray(s, dtype=float)))
+    elif drift == "growing":
+        b = replace(b, fn=lambda t, x, y: 2.0 * y)
+    evaluated = []
+    panel = sde._gl_panel
+    monkeypatch.setattr(sde, "_gl_panel",
+                        lambda *a: evaluated.append(np.size(a[-1])) or panel(*a))
+    rep = dissipation_envelope(kinetic, b, z0, 2.0, n_steps, n_paths, seed=seed)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(rep.margins, _margins_at_every_record_point(rep, b.ell))
+    assert (drift == "growing") == (not rep.all_below)
+    if drift == "dissipative":
+        # the declared ell keeps Gamma's knots close on the scale of t, so
+        # the quadrature runs on a fraction of the record points
+        n_records = n_paths + np.count_nonzero(np.diff(rep.sup_tilde_sq, axis=1))
+        assert sum(evaluated) < n_records / 4
+
+
+def test_gamma_of_a_point_does_not_depend_on_the_other_points():
+    ell = lambda s: 0.5 * (1.0 + np.asarray(s, dtype=float))
+    rng = np.random.default_rng(4)
+    s = np.concatenate([[0.0, 5e-324, 1e-9, 0.5, 1.0, 2.0, 3.0, 1e12],
+                        10.0 ** rng.uniform(-6.0, 9.0, 200)])
+    C = rng.choice([1.0 + 1e-6, 1.7, 3.25, 40.0], size=s.size)
+    whole = sde._gamma(ell, C, s)
+    for sub in (np.arange(3, 9), np.flatnonzero(C == 1.7), rng.choice(s.size, 17)):
+        np.testing.assert_array_equal(sde._gamma(ell, C[sub], s[sub]), whole[sub])
+        for j in sub:
+            assert sde._gamma(ell, C[j], s[j]) == whole[j]
+    # a knot's value depends neither on the ladder's ends nor on the other C
+    Cu = np.array([1.5, 2.0, 9.0])
+    wide = sde._gamma_knots(ell, Cu, -12, 20)
+    np.testing.assert_array_equal(sde._gamma_knots(ell, Cu[1:2], -3, 5), wide[1:2, 9:18])
+    np.testing.assert_array_equal(sde._gamma_knots(ell, Cu, 0, 2), wide[:, 12:15])
+
+
+def test_envelope_peak_memory_is_set_before_the_margin_pass(kinetic):
+    # a 500 x 1024 ensemble: the noise record, the trajectories and the
+    # noise convolution xi set a tracemalloc peak of 24.68e6 bytes before
+    # Gamma runs, and the margin pass, blocked by paths, stays under it
+    b = build_drift("dissipative", 1, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        dissipation_envelope(kinetic, b, [0.07449849539587827, 0.4431204030627365],
+                             2.0, 1024, 500, seed=1190805607)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24.7e6
 
 
 def test_dissipative_paths_below_envelope(kinetic):
