@@ -4,8 +4,8 @@ Modules
 -------
 model            system definitions (moduli, spectral operators, drifts) and
                  hypothesis validation
-linear_flow      exact Gaussian laws, path sampling, the linear semigroup,
-                 Hilbert-Schmidt noise diagnostics
+linear_flow      exact Gaussian laws, path sampling, the linear semigroup by
+                 Gauss-Hermite, Hilbert-Schmidt noise diagnostics
 bismut           controllability Gramian, perturbation controls, Monte-Carlo
                  derivative estimators, coupling/Girsanov checks
 regularization   resolvent, fixed-point field, state transform, Galerkin
@@ -22,13 +22,12 @@ from .model import (DriftSpec, Modulus, SpectralModel, build_drift, build_exampl
 from .linear_flow import (GaussianLaw, PathBundle, apply_P0, hs_noise_integral,
                           sample_linear, transition_law, transition_law_quadrature)
 from .bismut import (bismut_gradient, bismut_hessian, gramian_Q,
-                     perturbation_controls, scaling_exponent, variance_bound_check,
-                     verify_coupling)
-from .regularization import (FieldGrid, FunctionField, GridSpec, field_grad2,
-                             find_contraction_lambda, galerkin_compare, picard_solve,
-                             resolvent_apply, theta_forward, theta_inverse)
+                     perturbation_controls, scaling_exponent, verify_coupling)
+from .regularization import (FieldGrid, FunctionField, GridSpec, find_contraction_lambda,
+                             galerkin_compare, picard_solve, resolvent_apply,
+                             theta_forward, theta_inverse)
 from .sde import (BihariBound, coarsen_noise, cutoff_drift, dissipation_envelope,
-                  integrate_ensemble, make_noise, noise_from_bundle,
-                  representation_residual, uniqueness_experiment)
+                  integrate_ensemble, make_noise, representation_residual,
+                  uniqueness_experiment)
 
 __version__ = "0.1.0"

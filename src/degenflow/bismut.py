@@ -61,14 +61,12 @@ __all__ = [
     "ControlPair",
     "GradientEstimate",
     "CouplingReport",
-    "VarianceBound",
     "ScalingFit",
     "gramian_Q",
     "perturbation_controls",
     "bismut_gradient",
     "bismut_hessian",
     "verify_coupling",
-    "variance_bound_check",
     "scaling_exponent",
     "transported_direction",
 ]
@@ -365,6 +363,14 @@ def _gradient_law(model: SpectralModel, s: float, T: float, v,
     return _JointLaw.of(model, [(times, _weight_table(ctrl, times))])
 
 
+def _check_budget(s: float, T: float, n_paths: int, n_steps: int) -> None:
+    """The window and Monte-Carlo budget checks shared by the estimators."""
+    if T <= s:
+        raise ValueError("T must exceed s")
+    if n_paths < 2 or n_steps < 1:
+        raise ValueError("need n_paths >= 2 and n_steps >= 1")
+
+
 def bismut_gradient(model: SpectralModel, s: float, T: float, f: Callable, z, v,
                     n_paths: int, n_steps: int = 256, seed: int = 0,
                     stream: Sequence[str] = ("bismut", "gradient")) -> GradientEstimate:
@@ -375,10 +381,7 @@ def bismut_gradient(model: SpectralModel, s: float, T: float, f: Callable, z, v,
     draws the terminal state and this weight from their exact joint Gaussian
     law, so discretization error enters only through the weight.
     """
-    if T <= s:
-        raise ValueError("T must exceed s")
-    if n_paths < 2 or n_steps < 1:
-        raise ValueError("need n_paths >= 2 and n_steps >= 1")
+    _check_budget(s, T, n_paths, n_steps)
     law = _gradient_law(model, s, T, v, n_steps)
     prod = law.weighted(f, z, substream(seed, *stream), n_paths)
     value = float(prod.mean())
@@ -397,8 +400,7 @@ def bismut_hessian(model: SpectralModel, s: float, T: float, f: Callable, z,
     v_t = e^{(t-s)A} v, and the estimator is the product of the two weights
     times f at the terminal state, all three drawn jointly.
     """
-    if T <= s:
-        raise ValueError("T must exceed s")
+    _check_budget(s, T, n_paths, n_steps)
     if n_steps % 2:
         n_steps += 1
     half = n_steps // 2
@@ -445,6 +447,7 @@ def verify_coupling(model: SpectralModel, s: float, T: float, v, eps: float,
     whose expectation is exactly 1 for the discretized pair.  S is exactly
     N(0, Q), so each path draws that one scalar.
     """
+    _check_budget(s, T, n_paths, n_steps)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     ctrl = perturbation_controls(model, s, T, v)
@@ -464,38 +467,7 @@ def verify_coupling(model: SpectralModel, s: float, T: float, v, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# Variance bound and gradient-scaling diagnostics
-
-
-@dataclass(frozen=True)
-class VarianceBound:
-    gaps: np.ndarray
-    ratios: np.ndarray
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(self.ratios))
-
-
-def variance_bound_check(model: SpectralModel, s: float, T: float, v,
-                         n_gaps: int = 7) -> VarianceBound:
-    """sup over dyadic gaps of  int |sigma*(..)^{-1}Phi|^2 dr  divided by
-    |v1|^2/gap^3 + |v2|^2/gap (the variance envelope of the weight)."""
-    from scipy import integrate
-    if T <= s:
-        raise ValueError("T must exceed s")
-    v = np.asarray(v, dtype=float).reshape(model.dim)
-    v1, v2 = v[: model.m], v[model.m:]
-    gaps = (T - s) * 2.0 ** (-np.arange(n_gaps, dtype=float))
-    ratios = []
-    for g in gaps:
-        ctrl = perturbation_controls(model, s, s + g, v)
-        val, _ = integrate.quad(
-            lambda r: float(np.sum(ctrl.weight_vector(float(r)) ** 2)),
-            s, s + g, limit=200, epsabs=1e-12, epsrel=1e-10)
-        env = float(np.sum(v1 ** 2)) / g ** 3 + float(np.sum(v2 ** 2)) / g
-        ratios.append(val / env)
-    return VarianceBound(gaps=gaps, ratios=np.asarray(ratios))
+# Gradient-scaling diagnostic
 
 
 @dataclass(frozen=True)

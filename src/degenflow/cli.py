@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config, validate_config
+from .config import _read_raw, load_config, validate_config
 from .errors import ConfigError, DegenflowError, HypothesisViolationError
 
 
@@ -74,15 +74,11 @@ def _cmd_list(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        import yaml
-        raw = yaml.safe_load(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"config error: file not found: {args.config}", file=sys.stderr)
+        raw = _read_raw(args.config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
-        print(f"config error: does not parse: {exc}", file=sys.stderr)
-        return 2
-    errors = validate_config(raw if raw is not None else {})
+    errors = validate_config(raw)
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)

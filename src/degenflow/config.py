@@ -3,7 +3,7 @@
 Sections:
 
     experiment:  scenario name, root seed, budgets, sweep grids
-    output:      dir, formats
+    output:      dir, the output directory
     model:       kind + parameters, only for a scenario that declares it
                  reads one (galerkin_wave, kind wave), and only the keys the
                  scenario catalog lists for it
@@ -153,22 +153,41 @@ def validate_config(raw: dict) -> list:
     elif type(exp["seed"]) is not int or exp["seed"] < 0:
         errors.append(f"experiment.seed: must be a non-negative integer, "
                       f"got {exp['seed']!r}")
-    out = raw.get("output", {})
-    if out and "dir" in out and not isinstance(out["dir"], str):
-        errors.append("output.dir: must be a string path")
+    if "output" in raw:
+        out = raw["output"]
+        if not isinstance(out, dict):
+            errors.append(f"output: must be a mapping, got {out!r}")
+        else:
+            for key, value in out.items():
+                if key != "dir":
+                    errors.append(f"output.{key}: unknown key; known: dir")
+                elif not isinstance(value, str):
+                    errors.append("output.dir: must be a string path")
     return errors
+
+
+def _read_raw(path):
+    """The parsed YAML of a config file, {} for an empty one; raises
+    ConfigError if the file is missing, unreadable, not UTF-8 or not YAML.
+    ``load_config`` and ``degenflow validate`` both read through it."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {exc}") from exc
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config does not parse: {exc}") from exc
+    return {} if raw is None else raw
 
 
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a YAML config; raises ConfigError on any problem."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config does not parse: {exc}") from exc
-    errors = validate_config(raw if raw is not None else {})
+    raw = _read_raw(path)
+    errors = validate_config(raw)
     if errors:
         raise ConfigError("; ".join(errors))
     return ScenarioConfig(raw=raw)

@@ -36,7 +36,6 @@ from .streams import stream_name, substream
 __all__ = [
     "GaussianLaw",
     "PathBundle",
-    "P0Estimate",
     "HSNoiseReport",
     "StepKernel",
     "step_kernel",
@@ -134,10 +133,6 @@ class GaussianLaw:
 
     def factor(self) -> np.ndarray:
         return psd_sqrt(self.cov)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        F = self.factor()
-        return self.mean + rng.standard_normal((n, self.mean.size)) @ F.T
 
 
 def transition_law(model: SpectralModel, s: float, t: float, z) -> GaussianLaw:
@@ -332,17 +327,6 @@ def sample_linear(model: SpectralModel, s: float, t: float, z,
 # Semigroup application
 
 
-@dataclass(frozen=True)
-class P0Estimate:
-    value: np.ndarray
-    stderr: np.ndarray
-    n: int
-    method: str
-
-    def scalar(self) -> float:
-        return float(np.asarray(self.value).reshape(-1)[0])
-
-
 def _gauss_hermite_nodes(dim: int, order: int):
     x, w = np.polynomial.hermite.hermgauss(order)
     grids = np.meshgrid(*([x] * dim), indexing="ij")
@@ -353,41 +337,23 @@ def _gauss_hermite_nodes(dim: int, order: int):
 
 
 def apply_P0(model: SpectralModel, s: float, t: float, f: Callable, z,
-             method: str = "monte_carlo", budget: int = 10000,
-             seed: int = 0) -> P0Estimate:
-    """Estimate (P0_{s,t} f)(z) = E f(Z^0_{s,t}(z)).
+             order: int) -> np.ndarray:
+    """(P0_{s,t} f)(z) = E f(Z^0_{s,t}(z)) by the Gauss-Hermite tensor rule.
 
-    monte_carlo: ``budget`` independent draws from the exact terminal law
-    (unbiased; stderr reported).  gauss_hermite: tensor rule with ``budget``
-    nodes per axis, exact for polynomials of degree < 2*budget; restricted to
-    total dimension m + d <= 4.
+    ``order`` nodes per axis under the exact terminal law, so the rule is
+    exact for polynomials of degree < 2 * order; restricted to total
+    dimension m + d <= 4.
     """
+    if model.dim > 4:
+        raise CapabilityError(
+            f"gauss_hermite quadrature is limited to dimension 4; model has {model.dim}")
+    if order < 2 or order > 100:
+        raise ValueError("gauss_hermite order (nodes per axis) must be in [2, 100]")
     law = transition_law(model, s, t, z)
-    if method == "monte_carlo":
-        if budget < 2:
-            raise ValueError("monte_carlo budget must be >= 2")
-        rng = substream(seed, "linear_flow", "apply_p0")
-        draws = law.sample(rng, budget)
-        vals = np.asarray(f(draws), dtype=float)
-        value = vals.mean(axis=0)
-        stderr = vals.std(axis=0, ddof=1) / math.sqrt(budget)
-        return P0Estimate(value=value, stderr=stderr, n=budget, method=method)
-    if method == "gauss_hermite":
-        if model.dim > 4:
-            raise CapabilityError(
-                f"gauss_hermite quadrature is limited to dimension 4; model has {model.dim}")
-        order = int(budget)
-        if order < 2 or order > 100:
-            raise ValueError("gauss_hermite budget (nodes per axis) must be in [2, 100]")
-        pts, wts = _gauss_hermite_nodes(model.dim, order)
-        F = law.factor()
-        states = law.mean + (math.sqrt(2.0) * pts) @ F.T
-        vals = np.asarray(f(states), dtype=float)
-        value = np.tensordot(wts, vals, axes=(0, 0))
-        return P0Estimate(value=np.asarray(value, dtype=float),
-                          stderr=np.zeros_like(np.asarray(value, dtype=float)),
-                          n=pts.shape[0], method=method)
-    raise ValueError(f"unknown method {method!r}")
+    pts, wts = _gauss_hermite_nodes(model.dim, order)
+    states = law.mean + (math.sqrt(2.0) * pts) @ law.factor().T
+    vals = np.asarray(f(states), dtype=float)
+    return np.asarray(np.tensordot(wts, vals, axes=(0, 0)), dtype=float)
 
 
 # ---------------------------------------------------------------------------

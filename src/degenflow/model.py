@@ -39,6 +39,8 @@ __all__ = [
     "HypothesisCheck",
     "HypothesisReport",
     "DriftSpec",
+    "phi_squared_midpoint_concave",
+    "dini_integral",
     "classify_modulus",
     "validate_hypotheses",
     "validate_drift_regularity",

@@ -58,18 +58,16 @@ from .streams import substream
 __all__ = [
     "GridSpec",
     "FieldGrid",
+    "FunctionField",
     "PicardReport",
     "ResolventValue",
     "GalerkinReport",
     "resolvent_apply",
     "picard_solve",
     "find_contraction_lambda",
-    "field_grad2",
-    "field_grad_full",
     "theta_forward",
     "theta_inverse",
     "galerkin_compare",
-    "holder_envelope_ratio",
 ]
 
 # Gauss-Hermite nodes per axis of every grid expectation, and Gauss-Legendre
@@ -78,8 +76,6 @@ _GH_ORDER = 4
 _N_LOCAL = 6
 # largest discount the contraction search tries
 _LAMBDA_CAP = 2.0 ** 20
-# central-difference step of FunctionField's y-Jacobian
-_FD_STEP = 1e-6
 # largest grid node index and operator size the int32 indices hold
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -241,12 +237,28 @@ class FieldGrid:
     def jacobian_y_many(self, times_q, pts) -> np.ndarray:
         """Vectorized y-Jacobians at grid resolution: (n, d, d).
 
-        Central differences one cell wide, one-sided (with a
-        BoundaryExtrapolationWarning) within one cell of a y-edge of the box;
-        see _difference_jacobian.
+        The points are clipped to the box.  Column j is a central difference
+        one cell wide along y_j; within one cell of a y-edge of the box the
+        stencil is one-sided, with one BoundaryExtrapolationWarning per axis
+        that needs it.  The denominator is the actual span of the stencil.
         """
-        return _difference_jacobian(self.interp_many, times_q, pts, range(self.m, self.dim),
-                                    self.spacing(), self.lo, self.hi)
+        lo, hi, h = self.lo, self.hi, self.spacing()
+        pts = np.clip(np.atleast_2d(np.asarray(pts, dtype=float)), lo, hi)
+        cols = []
+        for a in range(self.m, self.dim):
+            z = pts[:, a]
+            near_hi = z + h[a] > hi[a]
+            near_lo = ~near_hi & (z - h[a] < lo[a])
+            if np.any(near_hi | near_lo):
+                warnings.warn(f"one-sided stencil at axis {a} (within one step of "
+                              "the boundary)", BoundaryExtrapolationWarning)
+            zp = pts.copy()
+            zm = pts.copy()
+            zp[:, a] = np.where(near_hi, z, z + h[a])
+            zm[:, a] = np.where(near_lo, z, z - h[a])
+            cols.append((self.interp_many(times_q, zp) - self.interp_many(times_q, zm))
+                        / (zp[:, a] - zm[:, a])[:, None])
+        return np.stack(cols, axis=-1)
 
     def sup_value(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=-1), initial=0.0))
@@ -270,12 +282,11 @@ class FunctionField:
 
     Provides the same evaluation surface as FieldGrid (interp, interp_many,
     jacobian_y_many, lo/hi) so residual experiments can run against exact
-    fields; the y-Jacobian uses central differences at step ``_FD_STEP``
-    unless an analytic ``jac_fn(s, pts) -> (n, d, d)`` is supplied.  The box
-    is unbounded: ``lo`` and ``hi`` are -inf and +inf on every axis.
+    fields; the y-Jacobian is the analytic ``jac_fn(s, pts) -> (n, d, d)``.
+    The box is unbounded: ``lo`` and ``hi`` are -inf and +inf on every axis.
     """
 
-    def __init__(self, fn: Callable, m: int, d: int, jac_fn: Optional[Callable] = None):
+    def __init__(self, fn: Callable, m: int, d: int, jac_fn: Callable):
         self.fn = fn
         self.m = m
         self.d = d
@@ -296,51 +307,7 @@ class FunctionField:
     def jacobian_y_many(self, times_q, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         times_q = np.asarray(times_q, dtype=float).reshape(-1)
-        if self.jac_fn is not None:
-            return np.asarray(self.jac_fn(times_q, pts), dtype=float)
-        return _difference_jacobian(self.interp_many, times_q, pts, range(self.m, self.dim),
-                                    np.full(self.dim, _FD_STEP), self.lo, self.hi)
-
-
-def _difference_jacobian(interp_many: Callable, times_q, pts, axes, h, lo, hi) -> np.ndarray:
-    """Difference Jacobian of interp_many(times_q, pts) -> (n, d) along each
-    coordinate in axes: (n, d, len(axes)).
-
-    The points are clipped to the box [lo, hi].  Each column is a central
-    difference with step h[a]; within one step of the box the stencil is
-    one-sided, with one BoundaryExtrapolationWarning per axis that needs it.
-    The denominator is the actual span of the stencil.
-    """
-    pts = np.clip(np.atleast_2d(np.asarray(pts, dtype=float)), lo, hi)
-    cols = []
-    for a in axes:
-        z = pts[:, a]
-        near_hi = z + h[a] > hi[a]
-        near_lo = ~near_hi & (z - h[a] < lo[a])
-        if np.any(near_hi | near_lo):
-            warnings.warn(f"one-sided stencil at axis {a} (within one step of "
-                          "the boundary)", BoundaryExtrapolationWarning)
-        zp = pts.copy()
-        zm = pts.copy()
-        zp[:, a] = np.where(near_hi, z, z + h[a])
-        zm[:, a] = np.where(near_lo, z, z - h[a])
-        cols.append((interp_many(times_q, zp) - interp_many(times_q, zm))
-                    / (zp[:, a] - zm[:, a])[:, None])
-    return np.stack(cols, axis=-1)
-
-
-def field_grad2(field: FieldGrid, s: float, z) -> np.ndarray:
-    """y-Jacobian (d x d) of the field at (s, z), grid resolution: one point
-    of FieldGrid.jacobian_y_many."""
-    return field.jacobian_y_many(np.array([float(s)]), np.reshape(z, (1, field.dim)))[0]
-
-
-def field_grad_full(field: FieldGrid, s: float, z) -> np.ndarray:
-    """Full Jacobian (d x dim) of the field at (s, z), grid resolution, by the
-    stencil of FieldGrid.jacobian_y_many along every axis."""
-    return _difference_jacobian(field.interp_many, np.array([float(s)]),
-                                np.reshape(z, (1, field.dim)), range(field.dim),
-                                field.spacing(), field.lo, field.hi)[0]
+        return np.asarray(self.jac_fn(times_q, pts), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +362,7 @@ def resolvent_apply(model: SpectralModel, lam: float, f: Callable, s: float, z,
         for tau, w in zip(taus, wts):
             # floor keeps the gap representable; the law degenerates smoothly
             r = s + max(tau * tau, 1e-13)
-            est = apply_P0(model, s, r, lambda pts: f(r, pts), z,
-                           method="gauss_hermite", budget=8)
-            val = np.asarray(est.value, dtype=float)
+            val = apply_P0(model, s, r, lambda pts: f(r, pts), z, 8)
             sup_f = max(sup_f, float(np.max(np.abs(val))))
             term = w * 2.0 * tau * math.exp(-lam * tau * tau) * val
             contrib = term if contrib is None else contrib + term
@@ -796,29 +761,3 @@ def galerkin_compare(model: SpectralModel, mode_drifts: Sequence[Callable],
     return GalerkinReport(levels=levels, value_gaps=tuple(value_gaps),
                           grad_gaps=tuple(grad_gaps), reference=n_ref,
                           per_mode_sup=tuple(sups))
-
-
-# ---------------------------------------------------------------------------
-# Local Holder-envelope diagnostic
-
-
-def holder_envelope_ratio(field: FieldGrid, phi: Modulus, delta: float,
-                          pairs: Sequence, s: float = 0.0) -> np.ndarray:
-    """Ratios ||grad2 u(z) - grad2 u(z')|| / min_r { r + |z-z'| (1 + I(r^delta)) }
-
-    with I(a) = int_a^1 phi(sigma)/sigma dsigma, evaluated over sampled pairs;
-    the min runs over 40 geometric r in [1e-6, 0.999].
-    Bounded ratios (no growth as |z - z'| shrinks) are the envelope check; for
-    a Dini modulus the plain Lipschitz ratio is the simpler special case.
-    """
-    from .model import dini_integral
-    r_grid = np.geomspace(1e-6, 0.999, 40)
-    dini_tail = np.array([dini_integral(phi, max(float(r) ** delta, 1e-12))
-                          for r in r_grid])
-    pts = np.asarray(pairs, dtype=float).reshape(-1, 2, field.dim)
-    J = field.jacobian_y_many(np.full(2 * pts.shape[0], float(s)),
-                              pts.reshape(-1, field.dim)).reshape(-1, 2, field.d, field.d)
-    num = np.linalg.norm(J[:, 0] - J[:, 1], ord=2, axis=(-2, -1))
-    dist = np.linalg.norm(pts[:, 0] - pts[:, 1], axis=-1)
-    env = np.min(r_grid + dist[:, None] * (1.0 + dini_tail), axis=-1)
-    return num / env

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CoverageError, IterationError, NonOsgoodWarning
-from .linear_flow import PathBundle, _draw_steps, _step_law
+from .linear_flow import _draw_steps, _step_law
 from .model import DriftSpec, SpectralModel, _expm
 from .regularization import FieldGrid
 from .streams import stream_name, substream
@@ -50,7 +50,6 @@ __all__ = [
     "BihariBound",
     "EnvelopeReport",
     "make_noise",
-    "noise_from_bundle",
     "coarsen_noise",
     "integrate_ensemble",
     "cutoff_drift",
@@ -103,37 +102,20 @@ def _step_flow(model: SpectralModel, s: float, t: float, n_steps: int):
 
 
 def make_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
-               seed: int, stream: Sequence[str] = ("sde", "noise"),
-               s: float = 0.0) -> NoiseRecord:
-    """Record of ``n_paths`` x ``n_steps`` exact step draws on [s, T].
+               seed: int, stream: Sequence[str] = ("sde", "noise")) -> NoiseRecord:
+    """Record of ``n_paths`` x ``n_steps`` exact step draws on [0, T].
 
     One ``StepKernel.draw`` per run of step kernels: a single call for a
     constant sigma, one per step for a time-dependent one.  Either way the
     record is the same stream and the same bits as stepping the linear flow
     one draw per step.  The arrays are step-major in memory (path-major
     views), so one step's slice across paths is contiguous.  Raises
-    ValueError unless n_steps >= 1, n_paths >= 1 and T > s.
+    ValueError unless n_steps >= 1, n_paths >= 1 and T > 0.
     """
     rng = substream(seed, *stream)
-    _, dW, eta = _draw_steps(model, s, T, n_paths, n_steps, rng)
-    return NoiseRecord(times=np.linspace(s, T, n_steps + 1),
+    _, dW, eta = _draw_steps(model, 0.0, T, n_paths, n_steps, rng)
+    return NoiseRecord(times=np.linspace(0.0, T, n_steps + 1),
                        dW=dW.transpose(1, 0, 2), eta=eta.transpose(1, 0, 2))
-
-
-def noise_from_bundle(model: SpectralModel, bundle: PathBundle) -> NoiseRecord:
-    """Recover per-step noise convolutions from a linear bundle's states.
-
-    For the zero-drift flow, eta_i = z_{i+1} - E z_i exactly, so a PathBundle
-    carries its randomness implicitly.
-    """
-    times = bundle.times
-    h = float(times[1] - times[0])
-    if not np.allclose(np.diff(times), h):
-        raise ValueError("bundle grid must be uniform")
-    E, _ = _step_flow(model, float(times[0]), float(times[-1]), bundle.n_steps)
-    Z = bundle.Z.transpose(1, 0, 2)                   # step-major (N+1, P, m+d)
-    eta = Z[1:] - Z[:-1] @ E.T
-    return NoiseRecord(times=times, dW=bundle.dW, eta=eta.transpose(1, 0, 2))
 
 
 def coarsen_noise(model: SpectralModel, noise: NoiseRecord, factor: int) -> NoiseRecord:
@@ -231,10 +213,9 @@ def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
     Per step: z' = E z + J inj b(t, z) + eta, with E the exact block flow,
     J the integrated exponential, and eta the recorded exact noise
     convolution.  ``noise`` is a NoiseRecord on this grid, or a seed for
-    ``make_noise`` (a PathBundle's record is ``noise_from_bundle``), which
-    the result then records with its stream.  Paths whose state norm
-    exceeds ``BLOWUP_THRESHOLD``, or is nan, freeze at their exit value with
-    the exit time recorded.
+    ``make_noise``, which the result then records with its stream.  Paths
+    whose state norm exceeds ``BLOWUP_THRESHOLD``, or is nan, freeze at their
+    exit value with the exit time recorded.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

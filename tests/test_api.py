@@ -1,0 +1,60 @@
+"""The public surface: each layer's __all__, the package exports, and the
+number of defaulted parameters on public callables."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import degenflow
+
+LAYERS = ("model", "linear_flow", "bismut", "regularization", "sde", "persist")
+
+# Defaulted parameters on public functions, methods and __init__s across the
+# package.  Each is an option callers and tests must cover, so adding one
+# raises this bound in the same change, and removing one lowers it.
+MAX_DEFAULTED = 37
+
+
+def _tree(module) -> ast.Module:
+    return ast.parse(inspect.getsource(module))
+
+
+def _public_definitions(module) -> set:
+    return {node.name for node in _tree(module).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _n_defaults(fn: ast.FunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_all_lists_its_public_definitions(layer):
+    module = importlib.import_module(f"degenflow.{layer}")
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == _public_definitions(module)
+
+
+def test_package_exports_only_names_in_their_modules_all():
+    for node in _tree(degenflow).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"degenflow.{node.module}")
+            for alias in node.names:
+                assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def test_defaulted_public_parameters_stay_within_bound():
+    count = 0
+    for path in Path(degenflow.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                count += _n_defaults(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                count += sum(_n_defaults(m) for m in node.body
+                             if isinstance(m, ast.FunctionDef)
+                             and (m.name == "__init__" or not m.name.startswith("_")))
+    assert count <= MAX_DEFAULTED

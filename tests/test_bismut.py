@@ -4,7 +4,8 @@ Closed forms used as oracles (scalar kinetic model, A0 = 0, B = sigma = 1):
 
     Q_t = t^3/6,            V(0,1) = 3,  Phi(r) = 4 - 6r on [0, 1],
                             V(1,0) = 6,  Phi(r) = 6 - 12r,
-    int_0^1 (4-6r)^2 dr = 4,  int_0^1 (6-12r)^2 dr = 12.
+    int_0^1 (4-6r)^2 dr = 4,  int_0^1 (6-12r)^2 dr = 12
+    (over a gap g: 4/g and 12/g^3).
 
 Gaussian derivatives at z = (x, y), T = 1:
     E[X] = x + y,  E[Y] = y,  E[X^2] = (x+y)^2 + 1/3,
@@ -23,8 +24,7 @@ from degenflow import bismut
 from degenflow.bismut import (_JointLaw, _law_moments, _weight_table,
                               bismut_gradient, bismut_hessian, gramian_Q,
                               perturbation_controls, scaling_exponent,
-                              transported_direction, variance_bound_check,
-                              verify_coupling)
+                              transported_direction, verify_coupling)
 from degenflow.errors import AccuracyWarning, SingularGramianError
 from degenflow.linear_flow import _step_kernels, apply_P0, sample_linear
 from degenflow.model import SpectralModel, _expm, build_example
@@ -183,19 +183,31 @@ def test_midinterval_difference_matches_closed_form(kinetic):
 # Variance envelope
 
 
-def test_variance_ratios_closed_form(kinetic):
-    vb = variance_bound_check(kinetic, 0.0, 1.0, [0.0, 1.0], n_gaps=7)
-    np.testing.assert_allclose(vb.ratios, 4.0, rtol=1e-8)
-    vb2 = variance_bound_check(kinetic, 0.0, 1.0, [1.0, 0.0], n_gaps=7)
-    np.testing.assert_allclose(vb2.ratios, 12.0, rtol=1e-8)
-
-
-def test_variance_ratio_bounded_for_wave():
-    model, _ = build_example("wave", theta=1.0, d_space=1, n=2, delta=0.4)
-    vb = variance_bound_check(model, 0.0, 1.0, [0.2, 0.1, 0.3, -0.4], n_gaps=6)
-    assert np.all(np.isfinite(vb.ratios))
+@pytest.mark.parametrize("kind,v,energy", [
+    ("kinetic", [0.0, 1.0], lambda g: 4.0 / g),
+    ("kinetic", [1.0, 0.0], lambda g: 12.0 / g ** 3),
+    ("wave", [0.2, 0.1, 0.3, -0.4], None)], ids=["kinetic-y", "kinetic-x", "wave"])
+def test_weight_energy_within_variance_envelope(kind, v, energy, kinetic):
+    # int_0^g |h|^2 dr, the variance of the weight, by a 64-node
+    # Gauss-Legendre rule (exact for the kinetic model's quadratic |h|^2),
+    # against the envelope |v1|^2 / g^3 + |v2|^2 / g over dyadic gaps
+    model = (kinetic if kind == "kinetic" else
+             build_example("wave", theta=1.0, d_space=1, n=2, delta=0.4)[0])
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    v = np.asarray(v)
+    v1, v2 = v[: model.m], v[model.m:]
+    gaps = 2.0 ** -np.arange(7.0)
+    ratios = []
+    for g in gaps:
+        ctrl = perturbation_controls(model, 0.0, g, v)
+        h = ctrl.weight_vector(0.5 * g * (nodes + 1.0))
+        val = 0.5 * g * float(weights @ np.sum(h ** 2, axis=-1))
+        if energy is not None:
+            assert val == pytest.approx(energy(g), rel=1e-8)
+        ratios.append(val / (v1 @ v1 / g ** 3 + v2 @ v2 / g))
+    assert np.all(np.isfinite(ratios))
     # bounded sweep: no growth trend toward small gaps
-    assert vb.ratios[-1] <= 2.0 * vb.sup
+    assert ratios[-1] <= 2.0 * max(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +248,8 @@ def test_finite_difference_oracle(kinetic):
     z0 = np.array([0.3, -0.1])
     v = np.array([0.0, 1.0])
     eps = 1e-3
-    up = apply_P0(kinetic, 0.0, 1.0, f, z0 + eps * v,
-                  method="gauss_hermite", budget=20).scalar()
-    dn = apply_P0(kinetic, 0.0, 1.0, f, z0 - eps * v,
-                  method="gauss_hermite", budget=20).scalar()
+    up = float(apply_P0(kinetic, 0.0, 1.0, f, z0 + eps * v, 20))
+    dn = float(apply_P0(kinetic, 0.0, 1.0, f, z0 - eps * v, 20))
     fd = (up - dn) / (2.0 * eps)
     est = bismut_gradient(kinetic, 0.0, 1.0, f, z0, v, n_paths=100000,
                           n_steps=256, seed=6)
@@ -397,6 +407,22 @@ def test_coupling_terminal_gap_and_girsanov(kinetic):
                           n_paths=100000, n_steps=128, seed=10)
     assert rep.terminal_gap <= 1e-8
     assert_within_se(rep.girsanov_mean, 1.0, rep.girsanov_stderr)
+
+
+@pytest.mark.parametrize("budget", [dict(n_paths=1), dict(n_paths=0), dict(n_steps=0)])
+@pytest.mark.parametrize("estimator", ["gradient", "hessian", "coupling"])
+def test_estimators_reject_too_few_paths_or_steps(kinetic, estimator, budget):
+    f = lambda z: z[:, 0]
+    run = {"gradient": lambda **kw: bismut_gradient(kinetic, 0.0, 1.0, f, [0.0, 0.0],
+                                                    [0.0, 1.0], **kw),
+           "hessian": lambda **kw: bismut_hessian(kinetic, 0.0, 1.0, f, [0.0, 0.0],
+                                                  [1.0, 0.0], [0.0, 1.0], **kw),
+           "coupling": lambda **kw: verify_coupling(kinetic, 0.0, 1.0, [0.0, 1.0], 0.5,
+                                                    **kw)}[estimator]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need n_paths >= 2 and n_steps >= 1"):
+            run(**(dict(n_paths=8, n_steps=4, seed=1) | budget))
 
 
 def test_girsanov_at_zero_eps_exact(kinetic):

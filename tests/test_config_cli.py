@@ -69,6 +69,15 @@ OUT_OF_RANGE = [
 ]
 
 
+# an output section is a mapping that holds dir and nothing else
+BAD_OUTPUT = [
+    # safe_dump sorts the keys, so bogus is the first error a command prints
+    ({"dir": "x", "formats": ["parquet"], "bogus": 3}, "output.bogus"),
+    ("somewhere", "output"),
+    ([1, 2], "output"),
+]
+
+
 @pytest.mark.parametrize("scenario,key,value", [
     ("kinetic_bismut", "n_paths", 2.7),
     ("gramian_sweep", "seed", 2.7),
@@ -96,7 +105,9 @@ def test_knob_value_of_wrong_type_rejected(tmp_path, scenario, key, value):
     ({"model": {"kind": "wave", "n": 4},
       "experiment": {"scenario": "galerkin_wave", "seed": 1}}, "model.n"),
     ({"experiment": {"scenario": "galerkin_wave", "seed": 1, "amplitude": 0.0}},
-     "experiment.amplitude")])
+     "experiment.amplitude")] + [
+    ({"output": output, "experiment": {"scenario": "gramian_sweep", "seed": 1}}, field)
+    for output, field in BAD_OUTPUT])
 def test_run_out_of_range_exits_2_without_traceback(tmp_path, raw, field):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump(raw))
@@ -133,6 +144,15 @@ def test_unhonoured_section_rejected(tmp_path):
     for scenario, field in (("kinetic_bismut", "model: "), ("galerkin_wave", "model.kind: ")):
         errors = validate_config({**model, "experiment": {"scenario": scenario, "seed": 1}})
         assert len(errors) == 1 and errors[0].startswith(field)
+    # and the output section only where it is a mapping, and only its dir
+    for output, field in BAD_OUTPUT:
+        raw = {"output": output, "experiment": {"scenario": "gramian_sweep", "seed": 1}}
+        errors = validate_config(raw)
+        assert sorted(e.split(":")[0] for e in errors) == (
+            ["output.bogus", "output.formats"] if field == "output.bogus" else [field])
+        cfg.write_text(yaml.safe_dump(raw))
+        code, out, err = _run_cli("validate", str(cfg))
+        assert code == 2 and out == "" and err.startswith(f"config error: {field}: ")
 
 
 def test_unread_model_key_rejected(tmp_path):
@@ -192,9 +212,23 @@ def test_catalog_defaults_validate():
                                                **info.knobs}}) == [], name
 
 
-def test_load_config_raises_on_missing_file():
+def test_load_config_raises_on_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.yaml")
+    # a missing, unreadable, undecodable or unparseable file is a config error
+    # (exit 2, no traceback) for both commands that read a config
+    (tmp_path / "latin1.yaml").write_bytes(b"experiment:\n  scenario: caf\xe9\n")
+    (tmp_path / "bad.yaml").write_text("experiment: [unclosed\n")
+    for path in (tmp_path / "missing.yaml", tmp_path, tmp_path / "latin1.yaml",
+                 tmp_path / "bad.yaml"):
+        with pytest.raises(ConfigError):
+            load_config(path)
+        for command in (("validate", str(path)),
+                        ("run", str(path), "--outdir", str(tmp_path / "out"))):
+            code, out, err = _run_cli(*command)
+            assert code == 2 and out == ""
+            assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -148,41 +148,31 @@ def test_fixed_seed_bit_identical(kinetic):
 
 
 def test_p0_preserves_constants(kinetic):
-    est = apply_P0(kinetic, 0.0, 1.0, lambda z: np.ones(z.shape[0]),
-                   [0.3, 0.4], method="gauss_hermite", budget=6)
-    assert abs(est.scalar() - 1.0) < 1e-14
-    est_mc = apply_P0(kinetic, 0.0, 1.0, lambda z: np.ones(z.shape[0]),
-                      [0.3, 0.4], method="monte_carlo", budget=500, seed=1)
-    assert abs(est_mc.scalar() - 1.0) < 1e-14
+    est = apply_P0(kinetic, 0.0, 1.0, lambda z: np.ones(z.shape[0]), [0.3, 0.4], 6)
+    assert abs(float(est) - 1.0) < 1e-14
 
 
 def test_p0_linear_observable_hits_mean(kinetic):
-    est = apply_P0(kinetic, 0.0, 1.0, lambda z: z[:, 0], [0.0, 1.0],
-                   method="gauss_hermite", budget=8)
-    assert abs(est.scalar() - 1.0) < 1e-13
+    est = apply_P0(kinetic, 0.0, 1.0, lambda z: z[:, 0], [0.0, 1.0], 8)
+    assert abs(float(est) - 1.0) < 1e-13
 
 
 def test_p0_markov_composition(kinetic):
     f = lambda z: np.tanh(z[:, 0]) + 0.3 * z[:, 1] ** 2
     s, r, t = 0.0, 0.4, 1.0
-    direct = apply_P0(kinetic, s, t, f, [0.2, -0.1],
-                      method="gauss_hermite", budget=14).scalar()
+    direct = float(apply_P0(kinetic, s, t, f, [0.2, -0.1], 14))
 
     def inner(pts):
-        return np.array([apply_P0(kinetic, r, t, f, p,
-                                  method="gauss_hermite", budget=14).scalar()
-                         for p in pts])
+        return np.array([float(apply_P0(kinetic, r, t, f, p, 14)) for p in pts])
 
-    nested = apply_P0(kinetic, s, r, inner, [0.2, -0.1],
-                      method="gauss_hermite", budget=14).scalar()
+    nested = float(apply_P0(kinetic, s, r, inner, [0.2, -0.1], 14))
     assert abs(direct - nested) < 1e-8
 
 
 def test_p0_dimension_cap():
     model, _ = build_example("wave", theta=1.0, d_space=1, n=4, delta=0.4)
     with pytest.raises(CapabilityError):
-        apply_P0(model, 0.0, 1.0, lambda z: z[:, 0], np.zeros(8),
-                 method="gauss_hermite", budget=4)
+        apply_P0(model, 0.0, 1.0, lambda z: z[:, 0], np.zeros(8), 4)
 
 
 def test_p0_gauss_hermite_exact_on_polynomials(kinetic):
@@ -194,14 +184,8 @@ def test_p0_gauss_hermite_exact_on_polynomials(kinetic):
     expected = (mx ** 2 * my ** 2 + mx ** 2 * syy + my ** 2 * sxx
                 + sxx * syy + 2.0 * sxy ** 2 + 4.0 * mx * my * sxy)
     est = apply_P0(kinetic, 0.0, 1.0, lambda z: z[:, 0] ** 2 * z[:, 1] ** 2,
-                   [0.3, 0.5], method="gauss_hermite", budget=4)
-    assert abs(est.scalar() - expected) < 1e-12 * max(1.0, abs(expected))
-
-
-def test_p0_mc_unbiased_with_stderr(kinetic):
-    est = apply_P0(kinetic, 0.0, 1.0, lambda z: z[:, 0], [0.0, 1.0],
-                   method="monte_carlo", budget=20000, seed=5)
-    assert_within_se(est.scalar(), 1.0, float(est.stderr))
+                   [0.3, 0.5], 4)
+    assert abs(float(est) - expected) < 1e-12 * max(1.0, abs(expected))
 
 
 # ---------------------------------------------------------------------------

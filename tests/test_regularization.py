@@ -16,10 +16,9 @@ from degenflow.linear_flow import _gauss_hermite_nodes, _step_law, psd_sqrt
 from degenflow.model import DriftSpec, Modulus, SpectralModel, build_drift, build_example
 from degenflow.regularization import (_GH_ORDER, _N_LOCAL, FieldGrid, FunctionField,
                                       GridSpec, _mode_submodel, _multilinear_coo,
-                                      _PicardEngine, field_grad2, field_grad_full,
-                                      find_contraction_lambda, galerkin_compare,
-                                      holder_envelope_ratio, picard_solve,
-                                      resolvent_apply, theta_forward, theta_inverse)
+                                      _PicardEngine, find_contraction_lambda,
+                                      galerkin_compare, picard_solve, resolvent_apply,
+                                      theta_forward, theta_inverse)
 
 
 @pytest.fixture(scope="module")
@@ -393,26 +392,20 @@ def _linear_field(m=1, d=1, slope=0.4, const=0.1):
 
 def test_grad2_exact_on_linear_field():
     field = _linear_field(slope=0.4)
-    J = field_grad2(field, 0.5, [0.3, -0.7])
+    J = field.jacobian_y_many(np.array([0.5]), np.array([[0.3, -0.7]]))[0]
     assert abs(J[0, 0] - 0.4) < 1e-12
 
 
 def test_grad2_zero_on_constant_field():
     field = _linear_field(slope=0.0, const=1.3)
-    J = field_grad2(field, 0.2, [0.1, 0.1])
+    J = field.jacobian_y_many(np.array([0.2]), np.array([[0.1, 0.1]]))[0]
     assert abs(J[0, 0]) < 1e-13
 
 
 def test_grad2_boundary_warning():
     field = _linear_field()
     with pytest.warns(BoundaryExtrapolationWarning):
-        field_grad2(field, 0.5, [0.0, 1.95])
-
-
-def test_full_gradient_shape(rough_solution):
-    _, _, _, field, _ = rough_solution
-    J = field_grad_full(field, 0.3, [0.5, -0.5])
-    assert J.shape == (1, 2)
+        field.jacobian_y_many(np.array([0.5]), np.array([[0.0, 1.95]]))
 
 
 def _curved_field():
@@ -441,8 +434,7 @@ def test_difference_stencil_shared_by_every_jacobian():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryExtrapolationWarning)
         for z, Jz in zip(pts, J):
-            np.testing.assert_array_equal(field_grad2(field, s, z), Jz)
-            np.testing.assert_array_equal(field_grad_full(field, s, z)[:, 1:], Jz)
+            np.testing.assert_array_equal(field.jacobian_y_many(np.array([s]), z[None])[0], Jz)
     for z, Jz in zip(pts, J):
         for j, ax in enumerate((1, 2)):
             zp, zm = z.copy(), z.copy()
@@ -459,28 +451,6 @@ def test_difference_stencil_shared_by_every_jacobian():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(field.jacobian_y_many(np.full(2, s), pts[:2]),
                                       J[:2])
-
-
-def test_function_field_jacobian_is_central_difference_at_fd_step():
-    from degenflow.regularization import _FD_STEP
-    fn = lambda ts, pts: np.stack([np.sin(pts[:, 1]) * pts[:, 2] + ts,
-                                   pts[:, 0] * np.cos(pts[:, 2])], axis=-1)
-    ff = FunctionField(fn, 1, 2)
-    ts = np.array([0.2, 0.7])
-    # the box is unbounded, so even far-out points take central stencils
-    pts = np.array([[0.3, 1.0, -0.5], [2.0, -1e3, 4e3]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        J = ff.jacobian_y_many(ts, pts)
-    for j, ax in enumerate((1, 2)):
-        e = np.zeros(3)
-        e[ax] = _FD_STEP
-        span = (pts + e)[:, ax] - (pts - e)[:, ax]
-        np.testing.assert_allclose(span, 2.0 * _FD_STEP, rtol=1e-6)
-        expected = (fn(ts, pts + e) - fn(ts, pts - e)) / span[:, None]
-        np.testing.assert_array_equal(J[:, :, j], expected)
-    np.testing.assert_allclose(J[0], [[math.cos(1.0) * -0.5, math.sin(1.0)],
-                                      [0.0, -0.3 * math.sin(-0.5)]], atol=1e-8)
 
 
 @pytest.mark.parametrize("lo,hi", [((2.0, 2.0), (-2.0, -2.0)), ((1.0, -1.0), (1.0, 1.0)),
@@ -579,40 +549,13 @@ def test_galerkin_gaps_shrink_with_lambda(wave6_drifts):
 
 
 # ---------------------------------------------------------------------------
-# Holder envelope diagnostic
-
-
-def test_holder_envelope_ratio_bounded(rough_solution):
-    model, b, lam, field, _ = rough_solution
-    rng = np.random.default_rng(3)
-    pairs = []
-    for scale in (1e-1, 1e-2, 1e-3):
-        for _ in range(5):
-            z = rng.uniform(-1.5, 1.5, size=2)
-            dz = rng.standard_normal(2)
-            dz *= scale / np.linalg.norm(dz)
-            pairs.append((z, z + dz))
-    ratios = holder_envelope_ratio(field, b.phi, model.delta, pairs, s=0.25)
-    assert np.all(np.isfinite(ratios))
-    # the batched pairs give each pair's pointwise ratio
-    from degenflow.model import dini_integral
-    r = np.geomspace(1e-6, 0.999, 40)
-    tail = np.array([dini_integral(b.phi, max(float(v) ** model.delta, 1e-12)) for v in r])
-    for (z, zp), ratio in zip(pairs, ratios):
-        num = np.linalg.norm(field_grad2(field, 0.25, z) - field_grad2(field, 0.25, zp), 2)
-        env = np.min(r + np.linalg.norm(z - zp) * (1.0 + tail))
-        assert ratio == pytest.approx(num / env, rel=1e-12)
-    # envelope check: no blow-up trend as the pair separation shrinks
-    assert np.max(ratios) <= 10.0 * max(np.median(ratios), 1e-12)
-
-
-# ---------------------------------------------------------------------------
 # FunctionField adapter
 
 
 def test_function_field_matches_callable():
     fn = lambda ts, pts: np.stack([np.sin(pts[:, 1]) + ts], axis=-1)
-    ff = FunctionField(fn, 1, 1)
+    jac = lambda ts, pts: np.cos(pts[:, 1])[:, None, None]
+    ff = FunctionField(fn, 1, 1, jac_fn=jac)
     out = ff.interp_many(np.array([0.2, 0.4]), np.array([[0.0, 1.0], [0.0, 2.0]]))
     np.testing.assert_allclose(out[:, 0], [math.sin(1.0) + 0.2,
                                            math.sin(2.0) + 0.4], rtol=1e-12)

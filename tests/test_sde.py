@@ -1,6 +1,5 @@
 """Mild integration, cutoffs, common-noise experiments, Bihari envelopes."""
 
-import itertools
 import math
 import tracemalloc
 import warnings
@@ -18,8 +17,7 @@ from degenflow.model import SpectralModel, _expm, build_drift, build_example
 from degenflow.regularization import FunctionField, GridSpec, picard_solve
 from degenflow.sde import (BLOWUP_THRESHOLD, BihariBound, NoiseRecord, coarsen_noise,
                            cutoff_drift, dissipation_envelope, integrate_ensemble,
-                           make_noise, noise_from_bundle,
-                           representation_residual, uniqueness_experiment)
+                           make_noise, representation_residual, uniqueness_experiment)
 from degenflow.streams import substream
 
 
@@ -57,11 +55,12 @@ def test_zero_drift_zero_noise_is_deterministic_flow():
 
 
 def test_zero_drift_reproduces_linear_bundle_exactly(kinetic):
-    # reusing a PathBundle's noise must replay the bundle bit-for-bit
+    # a record on the sampler's own stream must replay the bundle bit-for-bit
     bundle = sample_linear(kinetic, 0.0, 1.0, [0.3, -0.2], 4, 32, seed=5)
     b = build_drift("zero", 1, 1)
     ens = integrate_ensemble(kinetic, b, [0.3, -0.2], 1.0, 32,
-                             noise=noise_from_bundle(kinetic, bundle))
+                             noise=make_noise(kinetic, 1.0, 32, 4, 5,
+                                              stream=("linear_flow", "sample")))
     np.testing.assert_array_equal(ens.Z, bundle.Z)
 
 
@@ -226,12 +225,12 @@ def test_make_noise_matches_per_step_draws(kinetic):
     cases = [(kinetic, 1, 40), (kinetic, 3, 40), (kinetic, 700, 100),
              (_skewed_model(), 1, 40), (_skewed_model(), 3, 40), (_skewed_model(), 700, 100),
              (second_order, 1, 1024)]
-    for (model, n_paths, n_steps), s in itertools.product(cases, (0.0, 0.1, 0.25)):
-        rec = make_noise(model, 1.0, n_steps, n_paths, seed=8, stream=("t", "rec"), s=s)
+    for model, n_paths, n_steps in cases:
+        rec = make_noise(model, 1.0, n_steps, n_paths, seed=8, stream=("t", "rec"))
         rng = substream(8, "t", "rec")
         draws = [_two_call_draw(ker, rng, n_paths)
-                 for ker in _per_step_kernels(model, s, 1.0, n_steps)]
-        np.testing.assert_array_equal(rec.times, np.linspace(s, 1.0, n_steps + 1))
+                 for ker in _per_step_kernels(model, 0.0, 1.0, n_steps)]
+        np.testing.assert_array_equal(rec.times, np.linspace(0.0, 1.0, n_steps + 1))
         np.testing.assert_array_equal(rec.dW, np.stack([d[0] for d in draws], axis=1))
         np.testing.assert_array_equal(rec.eta, np.stack([d[1] for d in draws], axis=1))
 
@@ -283,12 +282,12 @@ def test_sample_linear_matches_a_per_step_loop(kinetic):
         np.testing.assert_array_equal(bundle.dW, np.stack(dW, axis=1))
 
 
-@pytest.mark.parametrize("bad", [dict(n_steps=0), dict(n_paths=0), dict(T=0.5),
-                                 dict(T=0.4)])
+@pytest.mark.parametrize("bad", [dict(n_steps=0), dict(n_paths=0), dict(T=0.0),
+                                 dict(T=-0.1)])
 def test_make_noise_rejects_an_empty_grid(kinetic, bad):
-    args = dict(T=1.0, n_steps=4, n_paths=2, s=0.5) | bad
+    args = dict(T=1.0, n_steps=4, n_paths=2) | bad
     with pytest.raises(ValueError, match="must"):
-        make_noise(kinetic, args["T"], args["n_steps"], args["n_paths"], 1, s=args["s"])
+        make_noise(kinetic, args["T"], args["n_steps"], args["n_paths"], 1)
 
 
 def test_make_noise_peak_memory_is_the_record_plus_one_block(kinetic):
@@ -315,19 +314,14 @@ def test_record_helpers_match_stepwise_loops(kinetic):
                 acc = acc @ E.T + rec.eta[:, 4 * g + j, :]
             np.testing.assert_array_equal(cn.eta[:, g, :], acc)
         np.testing.assert_array_equal(cn.dW, rec.dW.reshape(3, 8, 4, -1).sum(axis=2))
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.3, -0.2], 3, 16, seed=5)
-    E = _step_kernels(kinetic, 0.0, 1.0, 16)[0][0].E
-    Z = bundle.Z
-    expected = np.stack([Z[:, i + 1, :] - Z[:, i, :] @ E.T for i in range(16)], axis=1)
-    np.testing.assert_array_equal(noise_from_bundle(kinetic, bundle).eta, expected)
 
 
 def test_noise_record_on_another_grid_rejected(kinetic):
     b = build_drift("zero", 1, 1)
-    late = make_noise(kinetic, 1.0, 16, 2, seed=3, s=0.5)
+    rec = make_noise(kinetic, 1.0, 16, 2, seed=3)
+    late = replace(rec, times=np.linspace(0.5, 1.0, 17))
     with pytest.raises(ValueError, match="grid"):
         integrate_ensemble(kinetic, b, [0.1, 0.4], 1.0, 16, noise=late)
-    rec = make_noise(kinetic, 1.0, 16, 2, seed=3)
     uneven = replace(rec, times=np.concatenate([[0.0], np.linspace(0.2, 1.0, 16)]))
     with pytest.raises(ValueError, match="grid"):
         integrate_ensemble(kinetic, b, [0.1, 0.4], 1.0, 16, noise=uneven)
