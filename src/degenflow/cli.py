@@ -7,7 +7,10 @@
 ``python -m degenflow`` runs the same commands without an installed script.
 
 The output directory resolves as --outdir > $DEGENFLOW_OUTDIR > the config's
-output.dir.  Exit codes: 0 success, 2 invalid config, 3 hypothesis violation
+output.dir.  ``validate`` reads a config through ``load_config`` as ``run``
+does, so it rejects whatever ``run`` rejects as a config; ``main`` alone
+turns an error into an exit code and its stderr line(s).  Exit codes:
+0 success, 2 invalid config (one line per problem), 3 hypothesis violation
 (the message names the (H*) label), 4 any other toolkit error (a solver that
 does not converge or contract, a non-invertible transform, a path leaving a
 field's box; one line on stderr names the error), 1 other failure.
@@ -20,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import _read_raw, load_config, validate_config
+from .config import load_config
 from .errors import ConfigError, DegenflowError, HypothesisViolationError
 
 
@@ -35,17 +38,9 @@ def _resolve_outdir(args, cfg) -> Path:
 
 def _cmd_run(args) -> int:
     from .scenarios import run_scenario
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
     outdir = _resolve_outdir(args, cfg)
-    try:
-        lines = run_scenario(cfg, outdir)
-    except HypothesisViolationError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return 3
+    lines = run_scenario(cfg, outdir)
     summary = [f"scenario: {cfg.scenario}", f"seed: {cfg.seed}"] + lines
     text = "\n".join(summary) + "\n"
     print(f"output: {outdir}")
@@ -73,16 +68,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        raw = _read_raw(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    errors = validate_config(raw)
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
+    load_config(args.config)
     print("config ok")
     return 0
 
@@ -117,7 +103,8 @@ def main(argv=None) -> int:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        for line in str(exc).splitlines():
+            print(f"config error: {line}", file=sys.stderr)
         return 2
     except DegenflowError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -66,38 +66,35 @@ class ScenarioConfig:
         return Path(self.output.get("dir", "degenflow-out"))
 
 
-_COMPARE = {">": operator.gt, ">=": operator.ge}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
 
 
-def _value_problem(value, kind: type) -> Optional[str]:
-    """Why ``value`` cannot stand for a value of type ``kind``, or None: an
-    int takes a positive int, a float any finite int or float; nothing is
-    truncated or parsed."""
+def _value_problem(value, kind: type, bound) -> Optional[str]:
+    """Why ``value`` cannot stand for a value of type ``kind`` within the
+    catalog ``bound`` = (op, limit), if given, or None: an int takes a
+    positive int, a float any finite int or float; nothing is truncated or
+    parsed."""
     # type(True) is bool, not int: a boolean is never a number here
-    if kind is int:
-        if type(value) is not int or value <= 0:
-            return "must be a positive integer"
-    elif kind is float:
-        if type(value) not in (int, float) or not math.isfinite(value):
-            return "must be a finite number"
+    if kind is int and (type(value) is not int or value <= 0):
+        return "must be a positive integer"
+    if kind is float and (type(value) not in (int, float) or not math.isfinite(value)):
+        return "must be a finite number"
+    if bound and not _COMPARE[bound[0]](value, bound[1]):
+        return f"must be {bound[0]} {bound[1]}"
     return None
 
 
-def _knob_problem(value, default, bound=None) -> Optional[str]:
+def _knob_problem(value, default, bound) -> Optional[str]:
     """Why ``value`` cannot stand for a knob with this default and catalog
     bound, or None: a value of the default's type (see _value_problem), or
-    for a list knob a non-empty list of such items, each also satisfying
-    ``bound`` = (op, limit) if given."""
+    for a list knob a non-empty list of such items."""
     if isinstance(default, list):
         if type(value) is not list or not value:
             return "must be a non-empty list"
-        problem = next(filter(None, (_knob_problem(v, default[0], bound) for v in value)),
-                       None)
+        problem = next(filter(None, (_value_problem(v, type(default[0]), bound)
+                                     for v in value)), None)
         return problem and f"each item {problem}"
-    problem = _value_problem(value, type(default))
-    if problem is None and bound and not _COMPARE[bound[0]](value, bound[1]):
-        problem = f"must be {bound[0]} {bound[1]}"
-    return problem
+    return _value_problem(value, type(default), bound)
 
 
 def validate_config(raw: dict) -> list:
@@ -145,7 +142,8 @@ def validate_config(raw: dict) -> list:
                         errors.append(f"model.{key}: scenario {scenario!r} does not read "
                                       f"this key; known: {', '.join(info.model_keys)}")
                         continue
-                    problem = _value_problem(value, info.model_keys[key])
+                    problem = _value_problem(value, info.model_keys[key],
+                                             info.bounds.get(f"model.{key}"))
                     if problem:
                         errors.append(f"model.{key}: {problem}, got {value!r}")
     if "seed" not in exp:
@@ -166,10 +164,11 @@ def validate_config(raw: dict) -> list:
     return errors
 
 
-def _read_raw(path):
-    """The parsed YAML of a config file, {} for an empty one; raises
-    ConfigError if the file is missing, unreadable, not UTF-8 or not YAML.
-    ``load_config`` and ``degenflow validate`` both read through it."""
+def load_config(path) -> ScenarioConfig:
+    """Parse and validate a YAML config, an empty file as an empty one;
+    raises ConfigError if the file is missing, unreadable, not UTF-8 or not
+    YAML, or fails validation (one line per field error).  ``degenflow run``
+    and ``degenflow validate`` both read a config through it."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -180,14 +179,13 @@ def _read_raw(path):
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config does not parse: {exc}") from exc
-    return {} if raw is None else raw
-
-
-def load_config(path) -> ScenarioConfig:
-    """Parse and validate a YAML config; raises ConfigError on any problem."""
-    raw = _read_raw(path)
+        # one line: the CLI prints each line of a ConfigError as a problem
+        mark = getattr(exc, "problem_mark", None)
+        text = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}" if mark
+                else " ".join(str(exc).split()))
+        raise ConfigError(f"config does not parse: {text}") from exc
+    raw = {} if raw is None else raw
     errors = validate_config(raw)
     if errors:
-        raise ConfigError("; ".join(errors))
+        raise ConfigError("\n".join(errors))
     return ScenarioConfig(raw=raw)

@@ -29,7 +29,7 @@ __all__ = [
     "save_bundle", "load_bundle",
     "save_field", "load_field",
     "save_trajectory", "load_trajectory",
-    "write_csv", "bundle_to_csv", "estimates_to_csv", "picard_report_to_csv",
+    "write_csv", "bundle_to_csv", "picard_report_to_csv",
 ]
 
 
@@ -117,7 +117,7 @@ def save_field(field: FieldGrid, path) -> None:
         "grid": {"lo": [float(a[0]) for a in field.axes],
                  "hi": [float(a[-1]) for a in field.axes]},
         "seed": 0,
-        "bound": field.bound,
+        "bound": field.sup_value(),
     }
     arrays = [("times", field.times)]
     arrays += [(f"axis{i}", a) for i, a in enumerate(field.axes)]
@@ -132,7 +132,7 @@ def load_field(path) -> FieldGrid:
     dims = header["dims"]
     axes = tuple(arrays[f"axis{i}"] for i in range(len(dims["shape"])))
     return FieldGrid(times=arrays["times"], axes=axes, values=arrays["values"],
-                     m=int(dims["m"]), d=int(dims["d"]), bound=header.get("bound"))
+                     m=int(dims["m"]), d=int(dims["d"]))
 
 
 # -- trajectories -------------------------------------------------------------
@@ -220,16 +220,3 @@ def picard_report_to_csv(report, path) -> None:
                      float(report.sup_u), float(report.sup_grad2),
                      int(report.converged), float(report.tol)])
     write_csv(path, header, rows)
-
-
-def estimates_to_csv(path, rows: Iterable[dict]) -> None:
-    """Derivative-estimate rows: (s, T, component, direction, value, stderr,
-    n_paths, seed)."""
-    header = ["s", "T", "component", "direction", "value", "stderr",
-              "n_paths", "seed"]
-    out = []
-    for r in rows:
-        out.append([float(r["s"]), float(r["T"]), r["component"],
-                    r["direction"], float(r["value"]), float(r["stderr"]),
-                    int(r["n_paths"]), int(r["seed"])])
-    write_csv(path, header, out)

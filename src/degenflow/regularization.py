@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -191,15 +191,13 @@ class FieldGrid:
     drifts outside it.  Interpolation is multilinear in (time, space).
     """
 
-    def __init__(self, times: np.ndarray, axes, values: np.ndarray, m: int, d: int,
-                 bound: Optional[float] = None):
+    def __init__(self, times: np.ndarray, axes, values: np.ndarray, m: int, d: int):
         self.times = np.asarray(times, dtype=float)
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self.values = np.array(values, dtype=float)
         self.values.flags.writeable = False
         self.m = m
         self.d = d
-        self.bound = bound
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
         self._sup_grad2 = None
@@ -585,7 +583,6 @@ def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,
     values = u.reshape(engine.times.size, *engine.shape, model.d)
     field = FieldGrid(times=engine.times, axes=engine.axes, values=values,
                       m=model.m, d=model.d)
-    field.bound = field.sup_value()
     report = PicardReport(
         iterations=len(residuals), residuals=tuple(residuals),
         factors=tuple(factors), sup_u=field.sup_value(),

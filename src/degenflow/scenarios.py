@@ -18,10 +18,9 @@ import numpy as np
 
 from . import bismut, linear_flow, regularization as reg, sde
 from .config import ScenarioConfig
-from .errors import ConfigError
 from .model import build_drift, build_example
-from .persist import (bundle_to_csv, estimates_to_csv, picard_report_to_csv,
-                      save_bundle, save_field, save_trajectory, write_csv)
+from .persist import (bundle_to_csv, picard_report_to_csv, save_bundle, save_field,
+                      save_trajectory, write_csv)
 
 ANCHORS = {
     "gramian-cubic-scaling":
@@ -64,14 +63,13 @@ ANCHORS = {
 class ScenarioInfo:
     """A catalog entry; ``knobs`` maps every experiment key the runner reads
     besides scenario and seed to its default, whose type a config value must
-    have, ``bounds`` maps a knob to the (op, limit) its value, or each item of
-    its list, must satisfy beyond that type (op is ">" or ">="),
-    ``model_kind`` names the kind of model section it reads, if any, and
+    have, ``model_kind`` names the kind of model section it reads, if any,
     ``model_keys`` maps the keys of that section it passes on to build_example
-    to the type their values must have, checked as a knob's (validation
-    rejects any other key, value or section)."""
+    to the type their values must have, and ``bounds`` maps a knob, or a model
+    key as "model.<key>", to the (op, limit) its value, or each item of its
+    list, must satisfy beyond that type (op is ">", ">=" or "!=").  Validation
+    rejects any other key, value or section, and the runner trusts it."""
 
-    name: str
     description: str
     anchor: str
     runner: Callable
@@ -107,9 +105,8 @@ def _run_kinetic_bismut(cfg: ScenarioConfig, outdir: Path) -> List[str]:
         est = bismut.bismut_gradient(model, 0.0, 1.0, f, [0.0, 0.0], v,
                                      n_paths=n_paths, n_steps=n_steps,
                                      seed=seed, stream=("scenario", "kinetic", str(i)))
-        rows.append({"s": 0.0, "T": 1.0, "component": name,
-                     "direction": f"({v[0]:g},{v[1]:g})", "value": est.value,
-                     "stderr": est.stderr, "n_paths": n_paths, "seed": seed})
+        rows.append([0.0, 1.0, name, f"({v[0]:g},{v[1]:g})", est.value, est.stderr,
+                     n_paths, seed])
         lines.append(_anchor_line(
             "bismut-gradient-identity",
             f"probe f={name}, v=({v[0]:g},{v[1]:g}): {est.value:+.4f} "
@@ -120,7 +117,9 @@ def _run_kinetic_bismut(cfg: ScenarioConfig, outdir: Path) -> List[str]:
         "coupling-terminal-coincidence",
         f"terminal gap {coup.terminal_gap:.2e}; Girsanov mean "
         f"{coup.girsanov_mean:.4f} +- {coup.girsanov_stderr:.4f}"))
-    estimates_to_csv(outdir / "gradients.csv", rows)
+    write_csv(outdir / "gradients.csv",
+              ["s", "T", "component", "direction", "value", "stderr", "n_paths", "seed"],
+              rows)
     sample = linear_flow.sample_linear(model, 0.0, 1.0, [0.0, 0.0], 16, 64,
                                        seed, stream=("scenario", "kinetic", "bundle"))
     save_bundle(sample, outdir / "paths.dgfb")
@@ -211,22 +210,10 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     section = cfg.model_section
     section.pop("kind", None)
     section.setdefault("theta", 1.0)
-    section.setdefault("d_space", 1)
     section.setdefault("n", n_ref)
     model, _ = build_example("wave", **section)
-    if model.d < _GALERKIN_LEVELS[-1]:
-        raise ConfigError(f"model.n: galerkin_wave compares levels up to "
-                          f"{_GALERKIN_LEVELS[-1]} and needs as many modes, got {model.d}")
-    n_ref = min(n_ref, model.d)
     amp = cfg.knob("amplitude")
-    if amp == 0:
-        raise ConfigError("experiment.amplitude: galerkin_wave needs a nonzero drift "
-                          "amplitude (a zero drift has an all-zero field and no gaps)")
-
-    def mode_drift(i):
-        return lambda t, x, y: amp * np.tanh(x + y)
-
-    drifts = [mode_drift(i) for i in range(n_ref)]
+    drifts = [lambda t, x, y: amp * np.tanh(x + y)] * min(n_ref, model.d)
     grid = reg.GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), shape=(33, 33),
                         t_final=1.0, n_time=17)
     report = reg.galerkin_compare(model, drifts, lam=cfg.knob("lam"),
@@ -349,36 +336,32 @@ def _run_bihari_envelope(cfg: ScenarioConfig, outdir: Path) -> List[str]:
 
 SCENARIOS = {
     "kinetic_bismut": ScenarioInfo(
-        "kinetic_bismut",
         "Monte-Carlo derivative probes on the kinetic scalar flow vs analytic "
         "Gaussian derivatives, plus the coupling/Girsanov check",
         "bismut-gradient-identity", _run_kinetic_bismut,
         {"n_paths": 20000, "n_steps": 256}, bounds={"n_paths": (">=", 2)}),
     "gradient_scaling": ScenarioInfo(
-        "gradient_scaling",
         "fitted gap-exponents of the semigroup gradient sup-norms in both "
         "direction classes",
         "gradient-x-exponent", _run_gradient_scaling,
         {"budget": 240000}),
     "gramian_sweep": ScenarioInfo(
-        "gramian_sweep",
         "dyadic sweep of the inverse-Gramian cubic scaling",
         "gramian-cubic-scaling", _run_gramian_sweep),
     "picard_lambda_sweep": ScenarioInfo(
-        "picard_lambda_sweep",
         "fixed-point solves along a doubling discount sweep with norm decay "
         "and contraction factors",
         "field-norm-sqrt-decay", _run_picard_lambda_sweep,
         {"base_points": 192}),
     "galerkin_wave": ScenarioInfo(
-        "galerkin_wave",
         "truncation-gap decay of the fixed-point field for the wave system",
         "galerkin-gap-decay", _run_galerkin_wave,
         {"n_reference": 12, "amplitude": 1.0, "lam": 64.0}, model_kind="wave",
         model_keys={"kind": str, "theta": float, "d_space": int, "n": int, "delta": float},
-        bounds={"n_reference": (">=", _GALERKIN_LEVELS[-1]), "lam": (">", 0)}),
+        # a level needs as many modes, and a zero drift has an all-zero field
+        bounds={"n_reference": (">=", _GALERKIN_LEVELS[-1]), "lam": (">", 0),
+                "amplitude": ("!=", 0), "model.n": (">=", _GALERKIN_LEVELS[-1])}),
     "uniqueness_rough": ScenarioInfo(
-        "uniqueness_rough",
         "common-noise gap tables for the rough drift across perturbations "
         "and step counts",
         "uniqueness-common-noise", _run_uniqueness_rough,
@@ -386,7 +369,6 @@ SCENARIOS = {
          "perturbations": [1e-2, 1e-3, 1e-4, 0.0]},
         bounds={"t_final": (">", 0), "perturbations": (">=", 0)}),
     "representation_residual": ScenarioInfo(
-        "representation_residual",
         "residual decay of the field representation identity under step "
         "refinement (constant and rough drifts)",
         "representation-identity", _run_representation_residual,
@@ -395,7 +377,6 @@ SCENARIOS = {
         bounds={"lam": (">", 0), "rough_gridpoints": (">=", 2),
                 "rough_timenodes": (">=", 2)}),
     "bihari_envelope": ScenarioInfo(
-        "bihari_envelope",
         "pathwise nonlinear-Gronwall envelope check for the dissipative drift",
         "bihari-envelope", _run_bihari_envelope,
         {"t_final": 2.0, "n_paths": 1000, "n_steps": 512},

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,8 @@ def test_run_out_of_range_exits_2_without_traceback(tmp_path, raw, field):
     code, _, err = _run_cli("run", str(cfg), "--outdir", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+    # validate rejects what run rejects, in the same words
+    assert _run_cli("validate", str(cfg)) == (2, "", err)
 
 
 def test_unknown_knob_rejected(tmp_path):
@@ -228,6 +231,7 @@ def test_load_config_raises_on_missing_file(tmp_path):
             code, out, err = _run_cli(*command)
             assert code == 2 and out == ""
             assert err.startswith("config error: ") and "Traceback" not in err
+            assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -280,10 +284,8 @@ def test_run_toolkit_error_exits_4_with_one_line(tmp_path, monkeypatch):
     def leaves_box(cfg, outdir):
         raise CoverageError("trajectory exits the field box at t=0.5")
 
-    info = SCENARIOS["gramian_sweep"]
     monkeypatch.setitem(scenarios.SCENARIOS, "gramian_sweep",
-                        scenarios.ScenarioInfo(info.name, info.description,
-                                               info.anchor, leaves_box))
+                        replace(SCENARIOS["gramian_sweep"], runner=leaves_box))
     code, out, err = _run_cli("run", str(CONFIG_DIR / "gramian_sweep.yaml"),
                               "--outdir", str(tmp_path))
     assert code == 4

@@ -7,9 +7,9 @@ import pytest
 
 from degenflow.linear_flow import sample_linear
 from degenflow.model import build_drift
-from degenflow.persist import (bundle_to_csv, estimates_to_csv, load_bundle,
-                               load_field, load_trajectory, save_bundle,
-                               save_field, save_trajectory, write_csv)
+from degenflow.persist import (_unpack, bundle_to_csv, load_bundle, load_field,
+                               load_trajectory, save_bundle, save_field,
+                               save_trajectory, write_csv)
 from degenflow.regularization import GridSpec, picard_solve
 from degenflow.sde import integrate_ensemble
 
@@ -39,6 +39,8 @@ def test_field_round_trip(kinetic, tmp_path):
     for a, bax in zip(field.axes, back.axes):
         np.testing.assert_array_equal(a, bax)
     assert back.m == field.m and back.d == field.d
+    # the header states the values' sup as the field's bound
+    assert _unpack(path)[0]["bound"] == field.sup_value() > 0
     # interpolation agrees after the round trip
     z = np.array([0.3, -0.4])
     np.testing.assert_array_equal(back.interp(0.5, z), field.interp(0.5, z))
@@ -101,17 +103,6 @@ def test_picard_report_csv(kinetic, tmp_path):
     assert len(rows) == report.iterations
     assert float(rows[-1]["residual"]) == report.residuals[-1]
     assert float(rows[2]["factor"]) == report.factors[1]
-
-
-def test_estimates_csv(tmp_path):
-    path = tmp_path / "est.csv"
-    estimates_to_csv(path, [
-        {"s": 0.0, "T": 1.0, "component": "y", "direction": "(0,1)",
-         "value": 1.002, "stderr": 0.01, "n_paths": 1000, "seed": 7}])
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][:4] == ["s", "T", "component", "direction"]
-    assert rows[1][2] == "y"
 
 
 def test_write_csv_atomic_and_deterministic(tmp_path):
