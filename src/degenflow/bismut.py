@@ -86,6 +86,10 @@ class GramianResult:
     sweep_ratio: np.ndarray
 
 
+# the dyadic times 2^-6, ..., 1 of the t^3 inverse-norm sweep
+GRAMIAN_SWEEP = tuple(2.0 ** (-j) for j in range(6, -1, -1))
+
+
 def _gramian_blocks(model: SpectralModel, t: float):
     """(Q_t, W0, W1) from one exponential of the chain -A0, -A0, -A0, A0*
     (couplings I, I, B B*).
@@ -112,11 +116,9 @@ def _ramp_integrals(A0: np.ndarray, t: float):
     return F[:m, m:2 * m], F[:m, 2 * m:]
 
 
-def gramian_Q(model: SpectralModel, t: float,
-              sweep: Sequence[float] = tuple(2.0 ** (-j) for j in range(6, -1, -1))
-              ) -> GramianResult:
+def gramian_Q(model: SpectralModel, t: float) -> GramianResult:
     """Q_t in closed form (one block exponential), its inverse, and the t^3
-    inverse-norm sweep.
+    inverse-norm sweep over ``GRAMIAN_SWEEP``.
 
     bound_check = sup over the dyadic sweep of ||Q_t^{-1}|| t^3 (bounded for
     an invertible B B*; equals 6 exactly in the scalar A0 = 0, B = 1 case).
@@ -130,7 +132,7 @@ def gramian_Q(model: SpectralModel, t: float,
         raise SingularGramianError(
             f"Gramian at t={t} numerically singular (cond={cond:.3e})")
     Q_inv = np.linalg.inv(Q)
-    ts = np.asarray(list(sweep), dtype=float)
+    ts = np.array(GRAMIAN_SWEEP)
     ratios = []
     for tj in ts:
         Qj = _gramian_blocks(model, float(tj))[0]
@@ -372,7 +374,7 @@ def _check_budget(s: float, T: float, n_paths: int, n_steps: int) -> None:
 
 
 def bismut_gradient(model: SpectralModel, s: float, T: float, f: Callable, z, v,
-                    n_paths: int, n_steps: int = 256, seed: int = 0,
+                    n_paths: int, n_steps: int, seed: int,
                     stream: Sequence[str] = ("bismut", "gradient")) -> GradientEstimate:
     """Monte-Carlo estimate of (grad_v P^0_{s,T} f)(z).
 
@@ -391,7 +393,7 @@ def bismut_gradient(model: SpectralModel, s: float, T: float, f: Callable, z, v,
 
 
 def bismut_hessian(model: SpectralModel, s: float, T: float, f: Callable, z,
-                   v, v_tilde, n_paths: int, n_steps: int = 256, seed: int = 0,
+                   v, v_tilde, n_paths: int, n_steps: int, seed: int,
                    stream: Sequence[str] = ("bismut", "hessian")) -> GradientEstimate:
     """Second derivative grad_v grad_vtilde P^0_{s,T} f (z) by the midpoint split.
 
@@ -435,7 +437,7 @@ class CouplingReport:
 
 
 def verify_coupling(model: SpectralModel, s: float, T: float, v, eps: float,
-                    n_paths: int, n_steps: int = 256, seed: int = 0) -> CouplingReport:
+                    n_paths: int, n_steps: int, seed: int) -> CouplingReport:
     """Terminal coincidence of the coupled flow and the Girsanov weight mean.
 
     terminal_gap is deterministic (noise cancels in the coupled differences)
@@ -470,6 +472,10 @@ def verify_coupling(model: SpectralModel, s: float, T: float, v, eps: float,
 # Gradient-scaling diagnostic
 
 
+# the weight grid of every point of a scaling fit
+SCALING_STEPS = 128
+
+
 @dataclass(frozen=True)
 class ScalingFit:
     slope: float
@@ -482,24 +488,23 @@ class ScalingFit:
 
 def scaling_exponent(model: SpectralModel, f: Callable, component: str,
                      gaps: Sequence[float], budget: int, probes: np.ndarray,
-                     seed: int = 0, n_steps: int = 128) -> ScalingFit:
+                     seed: int) -> ScalingFit:
     """Fitted slope of log sup_z |grad P^0_{0,gap} f| against log gap.
 
     The sup is taken over a small probe set (a lower bound of the true
     sup-norm, adequate for slope fitting); each point is the estimate of
-    bismut_gradient at budget // (n_gaps * n_probes) paths on the substream
-    ("bismut", "scaling", gap index, probe index), bit for bit.  The joint
-    law of a gap does not depend on the start, so it is built once and every
-    probe of that gap draws from it.  A per-point budget below 100 paths
-    sets the low-budget flag and warns.
+    bismut_gradient at budget // (n_gaps * n_probes) paths and
+    ``SCALING_STEPS`` steps on the substream ("bismut", "scaling", gap index,
+    probe index), bit for bit.  The joint law of a gap does not depend on
+    the start, so it is built once and every probe of that gap draws from
+    it.  A per-point budget below 100 paths sets the low-budget flag and
+    warns.
     """
     gaps = np.asarray(list(gaps), dtype=float)
     if gaps.size < 4:
         raise ValueError("need at least 4 gaps for a slope fit")
     if component not in ("x", "y"):
         raise ValueError("component must be 'x' or 'y'")
-    if n_steps < 1:
-        raise ValueError("need n_steps >= 1")
     v = np.zeros(model.dim)
     v[0 if component == "x" else model.m] = 1.0
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -510,7 +515,7 @@ def scaling_exponent(model: SpectralModel, f: Callable, component: str,
                       "slope confidence will be wide", AccuracyWarning)
     values = np.empty(gaps.size)
     for gi, g in enumerate(gaps):
-        law = _gradient_law(model, 0.0, float(g), v, n_steps)
+        law = _gradient_law(model, 0.0, float(g), v, SCALING_STEPS)
         best = 0.0
         for pi, zp in enumerate(probes):
             rng = substream(seed, "bismut", "scaling", f"{gi}", f"{pi}")

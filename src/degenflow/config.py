@@ -142,8 +142,7 @@ def validate_config(raw: dict) -> list:
                         errors.append(f"model.{key}: scenario {scenario!r} does not read "
                                       f"this key; known: {', '.join(info.model_keys)}")
                         continue
-                    problem = _value_problem(value, info.model_keys[key],
-                                             info.bounds.get(f"model.{key}"))
+                    problem = _value_problem(value, info.model_keys[key], None)
                     if problem:
                         errors.append(f"model.{key}: {problem}, got {value!r}")
     if "seed" not in exp:

@@ -147,7 +147,7 @@ def transition_law(model: SpectralModel, s: float, t: float, z) -> GaussianLaw:
     z = np.asarray(z, dtype=float).reshape(model.dim)
     A = model.block_operator()
     if model.sigma_constant:
-        E, G, _ = _step_law(A, model.noise_matrix(), t - s)
+        E, G, _ = _step_law(A, model.noise_matrix(s), t - s)
     else:
         E = np.eye(model.dim)
         G = np.zeros((model.dim, model.dim))
@@ -301,7 +301,7 @@ class PathBundle:
 
 def sample_linear(model: SpectralModel, s: float, t: float, z,
                   n_paths: int, n_steps: int, seed: int,
-                  stream: Sequence[str] = ("linear_flow", "sample")) -> PathBundle:
+                  stream: Sequence[str]) -> PathBundle:
     """Sample exact linear-flow paths on a uniform grid over [s, t].
 
     The increments and convolutions are drawn up front, one

@@ -103,19 +103,19 @@ class Modulus:
         return out
 
     @classmethod
-    def power(cls, K: float = 1.0, alpha: float = 0.5) -> "Modulus":
+    def power(cls, K: float, alpha: float) -> "Modulus":
         return cls(family="power", K=K, alpha=alpha)
 
     @classmethod
-    def log_power(cls, K: float = 1.0, c: float = 100.0, r: float = 1.0) -> "Modulus":
+    def log_power(cls, K: float, c: float, r: float) -> "Modulus":
         return cls(family="log_power", K=K, c=c, r=r)
 
     @classmethod
-    def log_sqrt(cls, K: float = 1.0, c: float = 100.0) -> "Modulus":
+    def log_sqrt(cls, K: float, c: float) -> "Modulus":
         return cls(family="log_sqrt", K=K, c=c)
 
     @classmethod
-    def custom(cls, fn: Callable, K: float = 1.0) -> "Modulus":
+    def custom(cls, fn: Callable, K: float) -> "Modulus":
         return cls(family="custom", K=K, fn=fn)
 
 
@@ -207,7 +207,7 @@ def _custom_d2_verdict(phi: Modulus, quad_floor: float) -> bool:
     return bool(increments[-1] > 0.25 * increments[0])
 
 
-def classify_modulus(phi: Modulus, quad_floor: float = 1e-6) -> ModulusClassReport:
+def classify_modulus(phi: Modulus, quad_floor: float) -> ModulusClassReport:
     """Classify a modulus into the D0 / D1 / D2 hierarchy.
 
     D0: increasing, phi(0) = 0, positive.
@@ -349,7 +349,7 @@ class SpectralModel:
         A[self.m:, self.m:] = self.A2
         return A
 
-    def noise_matrix(self, t: float = 0.0) -> np.ndarray:
+    def noise_matrix(self, t: float) -> np.ndarray:
         """(m+d)x(m+d) diffusion matrix injecting sigma sigma* into the Y block."""
         s = self.sigma_at(t)
         N = np.zeros((self.dim, self.dim))

@@ -147,8 +147,8 @@ def save_trajectory(traj: EnsembleTrajectories, path) -> None:
         "dims": {"n_steps": traj.n_steps, "m": traj.m,
                  "dim": traj.Z.shape[-1], "k": traj.dW.shape[-1]},
         "grid": [float(traj.times[0]), float(traj.times[-1])],
-        "seed": traj.seed if traj.seed is not None else -1,
-        "stream": traj.stream,
+        "seed": -1,
+        "stream": "",
         "blew_up": blew,
         "blowup_time": blow if blew else None,
     }
@@ -162,13 +162,11 @@ def load_trajectory(path) -> EnsembleTrajectories:
     header, arrays = _unpack(path)
     if header["kind"] != "mild_trajectory":
         raise ValueError(f"{path}: expected a mild_trajectory, got {header['kind']}")
-    seed = int(header["seed"])
     blow = header["blowup_time"]
     return EnsembleTrajectories(
         times=arrays["times"], Z=arrays["Z"][None], dW=arrays["dW"][None],
         eta=arrays["eta"][None], blowup_times=np.array([np.nan if blow is None else blow]),
-        m=int(header["dims"]["m"]), seed=None if seed < 0 else seed,
-        stream=header.get("stream", ""))
+        m=int(header["dims"]["m"]))
 
 
 # -- CSV ----------------------------------------------------------------------

@@ -125,8 +125,8 @@ class GridSpec:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     @classmethod
-    def cube(cls, dim: int, half_width: float = 4.0, points: int = 65,
-             t_final: float = 1.0, n_time: int = 33) -> "GridSpec":
+    def cube(cls, dim: int, half_width: float, points: int, t_final: float,
+             n_time: int) -> "GridSpec":
         return cls(lo=(-half_width,) * dim, hi=(half_width,) * dim,
                    shape=(points,) * dim, t_final=t_final, n_time=n_time)
 
@@ -278,8 +278,8 @@ class FieldGrid:
 class FunctionField:
     """Field backed by a callable u(s, pts) -> (n, d): analytic references.
 
-    Provides the same evaluation surface as FieldGrid (interp, interp_many,
-    jacobian_y_many, lo/hi) so residual experiments can run against exact
+    Provides the evaluation surface of FieldGrid that residual experiments
+    read (interp_many, jacobian_y_many, lo/hi), so they can run against exact
     fields; the y-Jacobian is the analytic ``jac_fn(s, pts) -> (n, d, d)``.
     The box is unbounded: ``lo`` and ``hi`` are -inf and +inf on every axis.
     """
@@ -292,10 +292,6 @@ class FunctionField:
         self.jac_fn = jac_fn
         self.lo = np.full(self.dim, -np.inf)
         self.hi = np.full(self.dim, np.inf)
-
-    def interp(self, s: float, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self.fn(np.full(pts.shape[0], float(s)), pts), dtype=float)
 
     def interp_many(self, times_q, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -321,7 +317,7 @@ class ResolventValue:
 
 
 def resolvent_apply(model: SpectralModel, lam: float, f: Callable, s: float, z,
-                    t_final: float, budget: int = 256) -> ResolventValue:
+                    t_final: float, budget: int) -> ResolventValue:
     """int_s^T e^{-lam (r-s)} (P^0_{s,r} f_r)(z) dr by layered quadrature.
 
     f is a time-indexed observable: f(r, pts) -> (n_pts,) or (n_pts, p).
@@ -535,7 +531,7 @@ def _integrand_table(engine: _PicardEngine, model: SpectralModel, bvals: np.ndar
 
 
 def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,
-                 tol: float = 1e-8, max_iter: int = 60):
+                 tol: float, max_iter: int):
     """Solve the discounted fixed-point equation on a tensor grid.
 
     Iterates u^{k+1} = Gamma(u^k) from u^0 = 0, recording sup-norm residuals
@@ -592,7 +588,7 @@ def picard_solve(model: SpectralModel, b: DriftSpec, lam: float, grid: GridSpec,
 
 
 def find_contraction_lambda(model: SpectralModel, b: DriftSpec, grid: GridSpec,
-                            lam0: float = 16.0, tol: float = 1e-8, max_iter: int = 40):
+                            lam0: float, tol: float, max_iter: int):
     """Doubling search: smallest tried lambda with 3 consecutive factors <= 1/2.
 
     Immediate convergence (fewer than 3 measurable factors, e.g. constant
@@ -691,7 +687,7 @@ def _mode_submodel(model: SpectralModel, i: int) -> SpectralModel:
 
 def galerkin_compare(model: SpectralModel, mode_drifts: Sequence[Callable],
                      lam: float, levels: Sequence[int], grid2d: GridSpec,
-                     seed: int = 0) -> GalerkinReport:
+                     seed: int) -> GalerkinReport:
     """Truncation gaps of the fixed-point field for mode-separable drifts.
 
     mode_drifts[i] is a scalar callable (t, x_i, y_i) -> drift of mode i+1;

@@ -65,10 +65,10 @@ class ScenarioInfo:
     besides scenario and seed to its default, whose type a config value must
     have, ``model_kind`` names the kind of model section it reads, if any,
     ``model_keys`` maps the keys of that section it passes on to build_example
-    to the type their values must have, and ``bounds`` maps a knob, or a model
-    key as "model.<key>", to the (op, limit) its value, or each item of its
-    list, must satisfy beyond that type (op is ">", ">=" or "!=").  Validation
-    rejects any other key, value or section, and the runner trusts it."""
+    to the type their values must have, and ``bounds`` maps a knob to the
+    (op, limit) its value, or each item of its list, must satisfy beyond that
+    type (op is ">", ">=" or "!=").  Validation rejects any other key, value
+    or section, and the runner trusts it."""
 
     description: str
     anchor: str
@@ -210,10 +210,9 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     section = cfg.model_section
     section.pop("kind", None)
     section.setdefault("theta", 1.0)
-    section.setdefault("n", n_ref)
-    model, _ = build_example("wave", **section)
+    model, _ = build_example("wave", n=n_ref, **section)
     amp = cfg.knob("amplitude")
-    drifts = [lambda t, x, y: amp * np.tanh(x + y)] * min(n_ref, model.d)
+    drifts = [lambda t, x, y: amp * np.tanh(x + y)] * n_ref
     grid = reg.GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), shape=(33, 33),
                         t_final=1.0, n_time=17)
     report = reg.galerkin_compare(model, drifts, lam=cfg.knob("lam"),
@@ -357,10 +356,10 @@ SCENARIOS = {
         "truncation-gap decay of the fixed-point field for the wave system",
         "galerkin-gap-decay", _run_galerkin_wave,
         {"n_reference": 12, "amplitude": 1.0, "lam": 64.0}, model_kind="wave",
-        model_keys={"kind": str, "theta": float, "d_space": int, "n": int, "delta": float},
+        model_keys={"kind": str, "theta": float, "d_space": int, "delta": float},
         # a level needs as many modes, and a zero drift has an all-zero field
         bounds={"n_reference": (">=", _GALERKIN_LEVELS[-1]), "lam": (">", 0),
-                "amplitude": ("!=", 0), "model.n": (">=", _GALERKIN_LEVELS[-1])}),
+                "amplitude": ("!=", 0)}),
     "uniqueness_rough": ScenarioInfo(
         "common-noise gap tables for the rough drift across perturbations "
         "and step counts",
@@ -385,7 +384,6 @@ SCENARIOS = {
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: Path) -> List[str]:
-    info = SCENARIOS[cfg.scenario]
-    outdir.mkdir(parents=True, exist_ok=True)
-    lines = info.runner(cfg, outdir)
-    return lines
+    """Run the config's scenario; its artifacts' writers create ``outdir``,
+    so a run that fails before its first artifact leaves none."""
+    return SCENARIOS[cfg.scenario].runner(cfg, outdir)

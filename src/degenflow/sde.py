@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import CoverageError, IterationError, NonOsgoodWarning
 from .linear_flow import _draw_steps, _step_law
 from .model import DriftSpec, SpectralModel, _expm
 from .regularization import FieldGrid
-from .streams import stream_name, substream
+from .streams import substream
 
 __all__ = [
     "NoiseRecord",
@@ -102,7 +102,7 @@ def _step_flow(model: SpectralModel, s: float, t: float, n_steps: int):
 
 
 def make_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
-               seed: int, stream: Sequence[str] = ("sde", "noise")) -> NoiseRecord:
+               seed: int, stream: Sequence[str]) -> NoiseRecord:
     """Record of ``n_paths`` x ``n_steps`` exact step draws on [0, T].
 
     One ``StepKernel.draw`` per run of step kernels: a single call for a
@@ -148,12 +148,7 @@ def coarsen_noise(model: SpectralModel, noise: NoiseRecord, factor: int) -> Nois
 @dataclass(frozen=True)
 class EnsembleTrajectories:
     """Paths of one integration on a shared grid; a single trajectory is the
-    one-path ensemble.
-
-    ``seed`` and ``stream`` name the record when ``integrate_ensemble`` drew
-    it from a seed, and are None and "" otherwise (``path`` drops them: one
-    path of a larger record is not reproducible from the seed alone).
-    """
+    one-path ensemble."""
 
     times: np.ndarray       # (N+1,)
     Z: np.ndarray           # (P, N+1, m+d)
@@ -161,8 +156,6 @@ class EnsembleTrajectories:
     eta: np.ndarray         # (P, N, m+d)
     blowup_times: np.ndarray  # (P,), nan where no blow-up
     m: int
-    seed: Optional[int] = None
-    stream: str = ""
 
     @property
     def n_paths(self) -> int:
@@ -187,52 +180,42 @@ class EnsembleTrajectories:
                                     blowup_times=self.blowup_times[p, None], m=self.m)
 
 
-def _resolve_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
-                   noise: Union[int, NoiseRecord]) -> NoiseRecord:
-    if not isinstance(noise, NoiseRecord):
-        return make_noise(model, T, n_steps, n_paths, int(noise))
+def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
+                       n_steps: int, noise: NoiseRecord) -> EnsembleTrajectories:
+    """Exponential-Euler integration of the nonlinear system, path-vectorized.
+
+    Per step: z' = E z + J inj b(t, z) + eta, with E the exact block flow,
+    J the integrated exponential, and eta the recorded exact noise
+    convolution.  ``noise`` is a NoiseRecord on the uniform grid of [0, T].
+    A 2-D ``z0`` holds one start per path, and a one-path record drives
+    every row; a 1-D ``z0`` starts every path of the record.  Any other
+    path count of the record is a ValueError.  Paths whose state norm
+    exceeds ``BLOWUP_THRESHOLD``, or is nan, freeze at their exit value with
+    the exit time recorded.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     # the step kernels are built on the uniform grid of [0, T]
     if (noise.n_steps != n_steps or abs(float(noise.times[0])) > 1e-12
             or abs(float(noise.times[-1]) - T) > 1e-12
             or not np.allclose(np.diff(noise.times), T / n_steps, rtol=1e-9, atol=0.0)):
         raise ValueError("noise record grid does not match the requested grid")
-    if n_paths in (1, noise.n_paths):
-        return noise
-    if noise.n_paths == 1:
-        return NoiseRecord(times=noise.times,
-                           dW=np.repeat(noise.dW, n_paths, axis=0),
-                           eta=np.repeat(noise.eta, n_paths, axis=0))
-    raise ValueError("noise record has a different number of paths")
-
-
-def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
-                       n_steps: int, noise: Union[int, NoiseRecord],
-                       n_paths: int = 1) -> EnsembleTrajectories:
-    """Exponential-Euler integration of the nonlinear system, path-vectorized.
-
-    Per step: z' = E z + J inj b(t, z) + eta, with E the exact block flow,
-    J the integrated exponential, and eta the recorded exact noise
-    convolution.  ``noise`` is a NoiseRecord on this grid, or a seed for
-    ``make_noise``, which the result then records with its stream.  Paths
-    whose state norm exceeds ``BLOWUP_THRESHOLD``, or is nan, freeze at their
-    exit value with the exit time recorded.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    rec = _resolve_noise(model, T, n_steps, n_paths, noise)
-    n_paths = rec.n_paths
+    z0 = np.asarray(z0, dtype=float)
+    n_paths = z0.shape[0] if z0.ndim == 2 else noise.n_paths
+    if noise.n_paths != n_paths:
+        if noise.n_paths != 1:
+            raise ValueError(f"noise record has {noise.n_paths} paths for {n_paths} starts")
+        noise = NoiseRecord(times=noise.times, dW=np.repeat(noise.dW, n_paths, axis=0),
+                            eta=np.repeat(noise.eta, n_paths, axis=0))
     E, Jinj = _step_flow(model, 0.0, T, n_steps)
     ET, JT = E.T, Jinj.T
-    times = rec.times
+    times = noise.times
     ts = times.tolist()
     m = model.m
-    z0 = np.asarray(z0, dtype=float)
-    if z0.ndim == 1:
-        z0 = np.broadcast_to(z0, (n_paths, model.dim))
-    z = z0.astype(float).copy()
+    z = np.broadcast_to(z0, (n_paths, model.dim)).copy()
     Z = np.empty((n_paths, n_steps + 1, model.dim))
     Z[:, 0, :] = z
-    eta = rec.eta.transpose(1, 0, 2)            # step-major view
+    eta = noise.eta.transpose(1, 0, 2)  # step-major view
     blow_t = np.full(n_paths, np.nan)
     alive = np.ones(n_paths, dtype=bool)
     n_alive = n_paths
@@ -259,10 +242,8 @@ def integrate_ensemble(model: SpectralModel, b: DriftSpec, z0, T: float,
                     alive[ids] = False
                     n_alive -= ids.size
         Z[:, i + 1, :] = z
-    seed = None if isinstance(noise, NoiseRecord) else int(noise)
-    return EnsembleTrajectories(times=times, Z=Z, dW=rec.dW, eta=rec.eta,
-                                blowup_times=blow_t, m=model.m, seed=seed,
-                                stream="" if seed is None else stream_name("sde", "noise"))
+    return EnsembleTrajectories(times=times, Z=Z, dW=noise.dW, eta=noise.eta,
+                                blowup_times=blow_t, m=model.m)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +329,7 @@ def uniqueness_experiment(model: SpectralModel, b: DriftSpec, z0,
     for n in n_steps_list:
         noise = make_noise(model, T, int(n), 1, seed,
                            stream=("sde", "uniqueness", str(int(n))))
-        ens = integrate_ensemble(model, b, starts, T, int(n), noise=noise, n_paths=2)
+        ens = integrate_ensemble(model, b, starts, T, int(n), noise)
         gap = np.linalg.norm(ens.Z[0] - ens.Z[1], axis=-1)
         blew = np.isfinite(ens.blowup_times)
         rows.append(UniquenessRow(

@@ -21,8 +21,8 @@ from scipy import integrate
 
 from conftest import assert_within_se
 from degenflow import bismut
-from degenflow.bismut import (_JointLaw, _law_moments, _weight_table,
-                              bismut_gradient, bismut_hessian, gramian_Q,
+from degenflow.bismut import (GRAMIAN_SWEEP, SCALING_STEPS, _JointLaw, _law_moments,
+                              _weight_table, bismut_gradient, bismut_hessian, gramian_Q,
                               perturbation_controls, scaling_exponent,
                               transported_direction, verify_coupling)
 from degenflow.errors import AccuracyWarning, SingularGramianError
@@ -85,9 +85,12 @@ def test_gramian_matches_quadrature(kind):
     model = _oracle_model(kind)
     for t in (2.0 ** -6, 0.3, 1.0):
         ref = _quad_gramian(model, t)
-        got = gramian_Q(model, t, sweep=(t,))
+        got = gramian_Q(model, t)
         np.testing.assert_allclose(got.Q, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-        assert got.sweep_ratio[0] * t ** -3 == pytest.approx(
+    np.testing.assert_array_equal(got.sweep_t, GRAMIAN_SWEEP)
+    for tj, ratio in zip(GRAMIAN_SWEEP, got.sweep_ratio):
+        ref = _quad_gramian(model, tj)
+        assert ratio * tj ** -3 == pytest.approx(
             1.0 / np.linalg.svd(ref, compute_uv=False)[-1], rel=1e-12)
 
 
@@ -337,7 +340,8 @@ def _pathwise(model, f, z, windows, n_paths, n_steps, seed):
     """Path-stepping oracle: f(Z_T) times the product of the Ito sums
     sum <h(r_i), dW_i>, one per (ctrl, first step, last step) window, all on
     the paths and increments of sample_linear over [0, 1]."""
-    bundle = sample_linear(model, 0.0, 1.0, z, n_paths, n_steps, seed)
+    bundle = sample_linear(model, 0.0, 1.0, z, n_paths, n_steps, seed,
+                           stream=("linear_flow", "sample"))
     prod = np.asarray(f(bundle.Z[:, -1]), dtype=float)
     for ctrl, i0, i1 in windows:
         hvec = ctrl.weight_vector(bundle.times[i0:i1])
@@ -463,9 +467,9 @@ def test_scaling_points_equal_gradient_estimates(kind, kinetic):
     gaps = [2.0 ** (-j) for j in range(5, 1, -1)]
     probes = np.array([[0.0, -0.5], [0.2, 0.0], [0.0, 0.5]])
     v = [1.0, 0.0]
-    n, N = 150, 32
+    n, N = 150, SCALING_STEPS
     fit = scaling_exponent(model, f, "x", gaps, budget=n * len(gaps) * len(probes),
-                           probes=probes, seed=4, n_steps=N)
+                           probes=probes, seed=4)
     assert fit.n_per_point == n
     for gi, g in enumerate(gaps):
         ests = [bismut_gradient(model, 0.0, g, f, zp, v, n_paths=n, n_steps=N, seed=4,

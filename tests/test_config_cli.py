@@ -172,9 +172,18 @@ def test_unread_model_key_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
     # every key the scenario passes on validates, and a non-mapping section does not
     info = SCENARIOS["galerkin_wave"]
-    values = {"kind": "wave", "theta": 1.0, "d_space": 1, "n": 8, "delta": 0.4}
+    values = {"kind": "wave", "theta": 1.0, "d_space": 1, "delta": 0.4}
     assert set(values) == set(info.model_keys)
     assert validate_config({"model": values, "experiment": raw["experiment"]}) == []
+    # experiment.n_reference alone sets the mode count
+    cfg.write_text(yaml.safe_dump({"model": {"kind": "wave", "n": 12},
+                                   "experiment": raw["experiment"]}))
+    for command in (("validate", str(cfg)), ("run", str(cfg), "--outdir", str(tmp_path / "out"))):
+        code, _, err = _run_cli(*command)
+        assert code == 2
+        assert err == ("config error: model.n: scenario 'galerkin_wave' does not read this "
+                       "key; known: kind, theta, d_space, delta\n")
+    assert not (tmp_path / "out").exists()
     errors = validate_config({"model": "wave", "experiment": raw["experiment"]})
     assert len(errors) == 1 and errors[0].startswith("model: must be a mapping")
 
@@ -186,8 +195,8 @@ def test_unread_model_key_rejected(tmp_path):
     ("theta", math.inf, "must be a finite number"),
     ("d_space", 2.5, "must be a positive integer"),
     ("d_space", 0, "must be a positive integer"),
-    ("n", True, "must be a positive integer"),
-    ("n", "12", "must be a positive integer"),
+    ("d_space", True, "must be a positive integer"),
+    ("d_space", "12", "must be a positive integer"),
 ])
 def test_model_value_of_wrong_type_rejected(tmp_path, key, value, problem):
     cfg = tmp_path / "c.yaml"
@@ -275,9 +284,11 @@ def test_run_missing_seed_exits_2(tmp_path):
 
 def test_run_wave_theta_low_exits_3_citing_h3(tmp_path):
     code, _, err = _run_cli("run", str(CONFIG_DIR / "wave_theta_low.yaml"),
-                            "--outdir", str(tmp_path))
+                            "--outdir", str(tmp_path / "out"))
     assert code == 3
     assert "(H3)" in err
+    # the model is built before any artifact is written: no output directory
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_toolkit_error_exits_4_with_one_line(tmp_path, monkeypatch):
@@ -405,6 +416,7 @@ def test_import_leaves_scipy_integrate_unloaded():
     # the coupling check's terminal gap is closed-form, not quadrature
     code = ("import sys, degenflow as dg\n"
             "model, _ = dg.build_example('kinetic', d=1)\n"
-            "dg.verify_coupling(model, 0.0, 1.0, [0.0, 1.0], 0.5, n_paths=100, n_steps=16)\n"
+            "dg.verify_coupling(model, 0.0, 1.0, [0.0, 1.0], 0.5, n_paths=100, n_steps=16,"
+            " seed=0)\n"
             "sys.exit('scipy.integrate' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -39,7 +39,7 @@ NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|i
 LOADED = {
     load_bundle: ("times", "X", "Y", "dW", "seed", "stream"),
     load_field: ("times", "axes", "values", "m", "d"),
-    load_trajectory: ("times", "Z", "dW", "eta", "blowup_times", "m", "seed", "stream"),
+    load_trajectory: ("times", "Z", "dW", "eta", "blowup_times", "m"),
 }
 
 

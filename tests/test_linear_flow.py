@@ -13,6 +13,8 @@ from degenflow.linear_flow import (_step_law, apply_P0, hs_noise_integral, sampl
                                    transition_law, transition_law_quadrature)
 from degenflow.model import SpectralModel, build_example
 
+SAMPLE = ("linear_flow", "sample")
+
 
 # ---------------------------------------------------------------------------
 # Transition laws
@@ -93,7 +95,7 @@ def test_gaussian_composition_reproduces_law(kinetic, frac):
     first = transition_law(kinetic, s, r, [0.5, 0.7])
     # propagate the intermediate law through the second window
     second = transition_law(kinetic, r, t, first.mean)
-    E2, G2, _ = _step_law(kinetic.block_operator(), kinetic.noise_matrix(), t - r)
+    E2, G2, _ = _step_law(kinetic.block_operator(), kinetic.noise_matrix(0.0), t - r)
     mean = E2 @ first.mean
     cov = E2 @ first.cov @ E2.T + G2
     np.testing.assert_allclose(mean, direct.mean, atol=1e-10)
@@ -107,7 +109,7 @@ def test_gaussian_composition_reproduces_law(kinetic, frac):
 
 def test_sample_moments_match_law(kinetic):
     n = 20000
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.0, 0.0], n, 8, seed=7)
+    bundle = sample_linear(kinetic, 0.0, 1.0, [0.0, 0.0], n, 8, seed=7, stream=SAMPLE)
     law = transition_law(kinetic, 0.0, 1.0, [0.0, 0.0])
     term = np.concatenate([bundle.X[:, -1, :], bundle.Y[:, -1, :]], axis=1)
     for j in range(2):
@@ -118,7 +120,7 @@ def test_sample_moments_match_law(kinetic):
 
 
 def test_increment_covariance_is_h_times_identity(kinetic):
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.0, 0.0], 20000, 4, seed=3)
+    bundle = sample_linear(kinetic, 0.0, 1.0, [0.0, 0.0], 20000, 4, seed=3, stream=SAMPLE)
     h = 0.25
     flat = bundle.dW.reshape(-1, bundle.dW.shape[-1])
     var = flat.var(ddof=1)
@@ -128,8 +130,8 @@ def test_increment_covariance_is_h_times_identity(kinetic):
 
 def test_zero_noise_paths_equal_deterministic_flow():
     model, _ = build_example("kinetic", d=1, sigma=np.zeros((1, 1)))
-    bundle = sample_linear(model, 0.0, 1.0, [1.0, 2.0], 3, 4, seed=0)
-    E, _, _ = _step_law(model.block_operator(), model.noise_matrix(), 0.25)
+    bundle = sample_linear(model, 0.0, 1.0, [1.0, 2.0], 3, 4, seed=0, stream=SAMPLE)
+    E, _, _ = _step_law(model.block_operator(), model.noise_matrix(0.0), 0.25)
     z = np.array([1.0, 2.0])
     for i in range(4):
         z = E @ z
@@ -137,8 +139,8 @@ def test_zero_noise_paths_equal_deterministic_flow():
 
 
 def test_fixed_seed_bit_identical(kinetic):
-    a = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 50, 16, seed=11)
-    b = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 50, 16, seed=11)
+    a = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 50, 16, seed=11, stream=SAMPLE)
+    b = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 50, 16, seed=11, stream=SAMPLE)
     np.testing.assert_array_equal(a.Z, b.Z)
     np.testing.assert_array_equal(a.dW, b.dW)
 

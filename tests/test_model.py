@@ -45,22 +45,22 @@ def test_classify_sqrt_modulus_in_d1_with_known_integral():
 
 
 def test_classify_log_power_in_d1():
-    report = classify_modulus(Modulus.log_power(1.0, c=200.0, r=1.0))
+    report = classify_modulus(Modulus.log_power(1.0, c=200.0, r=1.0), quad_floor=1e-6)
     assert report.in_D1
     assert report.in_D2  # finite Dini tail forces the divergence condition
     assert report.dini_finite
 
 
 def test_classify_log_sqrt_in_d2_not_d1():
-    report = classify_modulus(Modulus.log_sqrt(1.0, c=200.0))
+    report = classify_modulus(Modulus.log_sqrt(1.0, c=200.0), quad_floor=1e-6)
     assert report.in_D2
     assert not report.in_D1
     assert report.dini_finite is False
 
 
 def test_classify_custom_table_heuristic_flag():
-    phi = Modulus.custom(lambda s: np.sqrt(np.asarray(s, dtype=float)))
-    report = classify_modulus(phi)
+    phi = Modulus.custom(lambda s: np.sqrt(np.asarray(s, dtype=float)), K=1.0)
+    report = classify_modulus(phi, quad_floor=1e-6)
     assert report.heuristic
     assert report.in_D1
 
@@ -73,9 +73,9 @@ def test_classification_monotone_in_truncation():
 
 
 def test_non_monotone_modulus_rejected():
-    phi = Modulus.custom(lambda s: np.sin(6.0 * np.asarray(s, dtype=float)) + 1e-3)
+    phi = Modulus.custom(lambda s: np.sin(6.0 * np.asarray(s, dtype=float)) + 1e-3, K=1.0)
     with pytest.raises(InvalidModulusError):
-        classify_modulus(phi)
+        classify_modulus(phi, quad_floor=1e-6)
 
 
 def test_phi_squared_concavity_split():

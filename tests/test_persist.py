@@ -11,11 +11,12 @@ from degenflow.persist import (_unpack, bundle_to_csv, load_bundle, load_field,
                                load_trajectory, save_bundle, save_field,
                                save_trajectory, write_csv)
 from degenflow.regularization import GridSpec, picard_solve
-from degenflow.sde import integrate_ensemble
+from degenflow.sde import integrate_ensemble, make_noise
 
 
 def test_bundle_round_trip(kinetic, tmp_path):
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 5, 8, seed=3)
+    bundle = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 5, 8, seed=3,
+                           stream=("linear_flow", "sample"))
     path = tmp_path / "bundle.dgfb"
     save_bundle(bundle, path)
     back = load_bundle(path)
@@ -30,7 +31,7 @@ def test_bundle_round_trip(kinetic, tmp_path):
 def test_field_round_trip(kinetic, tmp_path):
     b = build_drift("constant", 1, 1, value=np.array([0.5]))
     grid = GridSpec.cube(2, half_width=2.0, points=9, t_final=1.0, n_time=5)
-    field, _ = picard_solve(kinetic, b, 32.0, grid)
+    field, _ = picard_solve(kinetic, b, 32.0, grid, tol=1e-8, max_iter=60)
     path = tmp_path / "field.dgfb"
     save_field(field, path)
     back = load_field(path)
@@ -48,7 +49,8 @@ def test_field_round_trip(kinetic, tmp_path):
 
 def test_trajectory_round_trip(kinetic, tmp_path):
     b = build_drift("dissipative", 1, 1)
-    traj = integrate_ensemble(kinetic, b, [0.2, 0.3], 1.0, 16, noise=9)
+    traj = integrate_ensemble(kinetic, b, [0.2, 0.3], 1.0, 16,
+                              make_noise(kinetic, 1.0, 16, 1, 9, stream=("sde", "noise")))
     path = tmp_path / "traj.dgfb"
     save_trajectory(traj, path)
     back = load_trajectory(path)
@@ -57,16 +59,18 @@ def test_trajectory_round_trip(kinetic, tmp_path):
     np.testing.assert_array_equal(back.dW, traj.dW)
     np.testing.assert_array_equal(back.eta, traj.eta)
     np.testing.assert_array_equal(back.blowup_times, traj.blowup_times)
-    assert (back.seed, back.stream) == (9, "sde/noise") == (traj.seed, traj.stream)
     assert back.m == traj.m
+    # the header keeps its seed and stream fields, naming no record
+    header = _unpack(path)[0]
+    assert (header["seed"], header["stream"]) == (-1, "")
 
 
 def test_trajectory_round_trip_keeps_a_blowup_and_one_path_only(kinetic, tmp_path):
     from degenflow.model import DriftSpec, Modulus
     explosive = DriftSpec(fn=lambda t, x, y: y ** 3, m=1, d=1, alpha=0.75,
                           phi=Modulus.power(1.0, 0.5), K=1.0, bound=None)
-    ens = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 64, noise=1,
-                             n_paths=2)
+    ens = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 64,
+                             make_noise(kinetic, 4.0, 64, 2, 1, stream=("sde", "noise")))
     assert np.all(np.isfinite(ens.blowup_times))
     path = tmp_path / "traj.dgfb"
     with pytest.raises(ValueError):
@@ -76,11 +80,11 @@ def test_trajectory_round_trip_keeps_a_blowup_and_one_path_only(kinetic, tmp_pat
     back = load_trajectory(path)
     np.testing.assert_array_equal(back.Z, ens.Z[1:])
     np.testing.assert_array_equal(back.blowup_times, ens.blowup_times[1:])
-    assert (back.seed, back.stream) == (None, "")
 
 
 def test_bundle_csv(kinetic, tmp_path):
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 3, 4, seed=1)
+    bundle = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 3, 4, seed=1,
+                           stream=("linear_flow", "sample"))
     path = tmp_path / "bundle.csv"
     bundle_to_csv(bundle, path)
     with open(path) as fh:
@@ -95,7 +99,7 @@ def test_picard_report_csv(kinetic, tmp_path):
     from degenflow.persist import picard_report_to_csv
     b = build_drift("rough_d1", 1, 1)
     grid = GridSpec.cube(2, half_width=3.0, points=17, t_final=1.0, n_time=9)
-    _, report = picard_solve(kinetic, b, 64.0, grid, tol=1e-6)
+    _, report = picard_solve(kinetic, b, 64.0, grid, tol=1e-6, max_iter=60)
     path = tmp_path / "report.csv"
     picard_report_to_csv(report, path)
     with open(path) as fh:

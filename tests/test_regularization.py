@@ -42,7 +42,7 @@ def rough_solution(grid33):
 def test_resolvent_constant_closed_form(kinetic):
     lam, s, T, c = 8.0, 0.25, 1.0, 2.5
     res = resolvent_apply(kinetic, lam, lambda r, pts: np.full(pts.shape[0], c),
-                          s, [0.1, 0.2], t_final=T)
+                          s, [0.1, 0.2], t_final=T, budget=256)
     expected = c * (1.0 - math.exp(-lam * (T - s))) / lam
     assert abs(float(res.value) - expected) < 1e-9
     assert res.converged
@@ -50,7 +50,7 @@ def test_resolvent_constant_closed_form(kinetic):
 
 def test_resolvent_zero_lambda(kinetic):
     res = resolvent_apply(kinetic, 0.0, lambda r, pts: np.full(pts.shape[0], 2.5),
-                          0.25, [0.1, 0.2], t_final=1.0)
+                          0.25, [0.1, 0.2], t_final=1.0, budget=256)
     assert abs(float(res.value) - 2.5 * 0.75) < 1e-10
 
 
@@ -58,7 +58,7 @@ def test_resolvent_decays_like_inverse_lambda(kinetic):
     f = lambda r, pts: np.tanh(pts[:, 1])
     vals = []
     for lam in (16.0, 64.0, 256.0, 1024.0):
-        res = resolvent_apply(kinetic, lam, f, 0.0, [0.0, 1.0], t_final=1.0)
+        res = resolvent_apply(kinetic, lam, f, 0.0, [0.0, 1.0], t_final=1.0, budget=256)
         vals.append(abs(float(res.value)) * lam)
     # lam * value approaches the integrand at the left endpoint: bounded ratio
     assert max(vals) / min(vals) < 1.2
@@ -77,7 +77,7 @@ def test_resolvent_budget_flag(kinetic):
 
 def test_zero_drift_converges_first_iteration(kinetic, grid33):
     b = build_drift("zero", 1, 1)
-    field, report = picard_solve(kinetic, b, 64.0, grid33)
+    field, report = picard_solve(kinetic, b, 64.0, grid33, tol=1e-8, max_iter=60)
     assert report.iterations == 1
     assert report.converged
     assert field.sup_value() == 0.0
@@ -86,7 +86,7 @@ def test_zero_drift_converges_first_iteration(kinetic, grid33):
 def test_constant_drift_analytic_solution(kinetic, grid33):
     lam, c = 64.0, 0.7
     b = build_drift("constant", 1, 1, value=np.array([c]))
-    field, report = picard_solve(kinetic, b, lam, grid33)
+    field, report = picard_solve(kinetic, b, lam, grid33, tol=1e-8, max_iter=60)
     worst = 0.0
     for i, s in enumerate(field.times):
         exact = c * (1.0 - math.exp(-lam * (1.0 - s))) / lam
@@ -128,7 +128,7 @@ def test_contraction_factor_at_found_lambda(rough_solution):
 def test_lambda_too_small_raises(kinetic, grid33):
     b = build_drift("tanh_steep", 1, 1, kappa=4.0, amp=8.0)
     with pytest.raises(LambdaTooSmallError):
-        picard_solve(kinetic, b, 0.05, grid33, max_iter=30)
+        picard_solve(kinetic, b, 0.05, grid33, tol=1e-8, max_iter=30)
 
 
 def test_dimension_cap():
@@ -136,7 +136,7 @@ def test_dimension_cap():
                              drift="zero")
     grid = GridSpec.cube(4, half_width=2.0, points=5, t_final=1.0, n_time=5)
     with pytest.raises(CapabilityError):
-        picard_solve(model, b, 32.0, grid)
+        picard_solve(model, b, 32.0, grid, tol=1e-8, max_iter=60)
 
 
 def test_hnorm_sweep_slope_in_window(kinetic):
@@ -357,7 +357,7 @@ def test_picard_residual_is_the_sup_of_the_step_norm():
     b = build_drift("dissipative", model.m, model.d)
     iterates = [np.zeros(1)]
     for k in (1, 2, 3):
-        field, report = picard_solve(model, b, 8.0, grid, max_iter=k)
+        field, report = picard_solve(model, b, 8.0, grid, tol=1e-8, max_iter=k)
         iterates.append(field.values)
         step = np.linalg.norm(iterates[k] - iterates[k - 1], axis=-1).max()
         assert report.residuals[k - 1] == pytest.approx(step, rel=1e-15, abs=0.0)
@@ -375,7 +375,7 @@ def test_picard_stops_on_a_non_finite_residual(kinetic, grid33):
     b = DriftSpec(fn=lambda t, x, y: np.where(y > 3.0, np.nan, 0.1), m=1, d=1,
                   alpha=0.75, phi=Modulus.power(1.0, 0.5), K=1.0, bound=None, name="nan")
     with pytest.raises(IterationError, match="not finite at lambda=16.* iteration 1"):
-        picard_solve(kinetic, b, 16.0, grid33)
+        picard_solve(kinetic, b, 16.0, grid33, tol=1e-8, max_iter=60)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +467,7 @@ def test_grid_spec_rejects_improper_box(lo, hi):
 
 def test_theta_identity_for_zero_field(kinetic, grid33):
     b = build_drift("zero", 1, 1)
-    field, _ = picard_solve(kinetic, b, 32.0, grid33)
+    field, _ = picard_solve(kinetic, b, 32.0, grid33, tol=1e-8, max_iter=60)
     z = np.array([0.7, -0.4])
     np.testing.assert_array_equal(theta_forward(field, 0.2, z), z)
     np.testing.assert_array_equal(theta_inverse(field, 0.2, z), z)
@@ -476,7 +476,7 @@ def test_theta_identity_for_zero_field(kinetic, grid33):
 def test_theta_constant_field_shifts(kinetic, grid33):
     c = 0.7
     b = build_drift("constant", 1, 1, value=np.array([c]))
-    field, _ = picard_solve(kinetic, b, 64.0, grid33)
+    field, _ = picard_solve(kinetic, b, 64.0, grid33, tol=1e-8, max_iter=60)
     z = np.array([0.5, 0.5])
     w = theta_forward(field, 0.0, z)
     assert abs(w[1] - (z[1] + field.interp(0.0, z)[0, 0])) < 1e-14

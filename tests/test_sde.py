@@ -33,6 +33,11 @@ def _per_step_kernels(model, s, t, n_steps):
     return [ker for ker, n in _step_kernels(model, s, t, n_steps) for _ in range(n)]
 
 
+def _record(model, T, n_steps, n_paths, seed):
+    """A record on the ("sde", "noise") substream of ``seed``."""
+    return make_noise(model, T, n_steps, n_paths, seed, stream=("sde", "noise"))
+
+
 def _two_call_draw(ker, rng, n_paths):
     """One step's (dW, eta): the increments, then the independent part."""
     dW = math.sqrt(ker.h) * rng.standard_normal((n_paths, ker.k))
@@ -47,7 +52,7 @@ def _two_call_draw(ker, rng, n_paths):
 def test_zero_drift_zero_noise_is_deterministic_flow():
     model, _ = build_example("kinetic", d=1, sigma=np.zeros((1, 1)))
     b = build_drift("zero", 1, 1)
-    traj = integrate_ensemble(model, b, [1.0, 2.0], 1.0, 16, noise=0)
+    traj = integrate_ensemble(model, b, [1.0, 2.0], 1.0, 16, _record(model, 1.0, 16, 1, 0))
     kinetic, _ = build_example("kinetic", d=1)
     expected = transition_law(kinetic, 0.0, 1.0, [1.0, 2.0]).mean
     np.testing.assert_allclose(traj.Z[0, -1], expected, rtol=1e-14)
@@ -56,7 +61,8 @@ def test_zero_drift_zero_noise_is_deterministic_flow():
 
 def test_zero_drift_reproduces_linear_bundle_exactly(kinetic):
     # a record on the sampler's own stream must replay the bundle bit-for-bit
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.3, -0.2], 4, 32, seed=5)
+    bundle = sample_linear(kinetic, 0.0, 1.0, [0.3, -0.2], 4, 32, seed=5,
+                           stream=("linear_flow", "sample"))
     b = build_drift("zero", 1, 1)
     ens = integrate_ensemble(kinetic, b, [0.3, -0.2], 1.0, 32,
                              noise=make_noise(kinetic, 1.0, 32, 4, 5,
@@ -67,7 +73,7 @@ def test_zero_drift_reproduces_linear_bundle_exactly(kinetic):
 def test_zero_drift_terminal_moments_match_law(kinetic):
     b = build_drift("zero", 1, 1)
     n = 20000
-    ens = integrate_ensemble(kinetic, b, [0.0, 1.0], 1.0, 8, noise=11, n_paths=n)
+    ens = integrate_ensemble(kinetic, b, [0.0, 1.0], 1.0, 8, _record(kinetic, 1.0, 8, n, 11))
     law = transition_law(kinetic, 0.0, 1.0, [0.0, 1.0])
     for j in range(2):
         se = math.sqrt(law.cov[j, j] / n)
@@ -77,7 +83,7 @@ def test_zero_drift_terminal_moments_match_law(kinetic):
 def test_self_convergence_order_one_for_lipschitz_drift(kinetic):
     b = build_drift("dissipative", 1, 1)
     n_ref = 4096
-    noise = make_noise(kinetic, 1.0, n_ref, 16, seed=13)
+    noise = _record(kinetic, 1.0, n_ref, 16, seed=13)
     ref = integrate_ensemble(kinetic, b, [0.5, 0.5], 1.0, n_ref, noise=noise)
     errors = []
     for n in (128, 256, 512):
@@ -95,7 +101,8 @@ def test_blowup_recorded_not_raised(kinetic):
     from degenflow.model import DriftSpec, Modulus
     explosive = DriftSpec(fn=lambda t, x, y: y ** 3, m=1, d=1, alpha=0.75,
                           phi=Modulus.power(1.0, 0.5), K=1.0, bound=None)
-    traj = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 256, noise=1)
+    traj = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 256,
+                              _record(kinetic, 4.0, 256, 1, 1))
     assert np.isfinite(traj.blowup_times[0])
     # frozen after exit: finite everywhere
     assert np.all(np.isfinite(traj.Z))
@@ -126,8 +133,7 @@ class _CountingNumpy:
 
 def _integrate_from_zero(model, rec):
     b = build_drift("zero", 1, 1)
-    return integrate_ensemble(model, b, np.zeros(2), 1.0, rec.n_steps, noise=rec,
-                              n_paths=rec.n_paths)
+    return integrate_ensemble(model, b, np.zeros(2), 1.0, rec.n_steps, rec)
 
 
 def test_blowup_screen_flags_exactly_the_per_path_exits(kinetic, monkeypatch):
@@ -196,7 +202,7 @@ def test_drift_that_turns_nan_freezes_its_path(kinetic):
     b = replace(build_drift("zero", 1, 1), fn=lambda t, x, y: -np.sqrt(y))
     starts = np.array([[0.0, 0.5], [0.0, 4.0]])
     with pytest.warns(RuntimeWarning, match="invalid value"):
-        ens = integrate_ensemble(model, b, starts, 2.0, 64, noise=1, n_paths=2)
+        ens = integrate_ensemble(model, b, starts, 2.0, 64, _record(model, 2.0, 64, 2, 1))
     assert np.isfinite(ens.blowup_times[0]) and np.isnan(ens.blowup_times[1])
     # the path exits one step after its state goes negative and stays frozen
     k = int(np.flatnonzero(ens.times == ens.blowup_times[0])[0])
@@ -207,7 +213,7 @@ def test_drift_that_turns_nan_freezes_its_path(kinetic):
 
 def test_coarsen_noise_exact_for_linear_flow(kinetic):
     b = build_drift("zero", 1, 1)
-    noise = make_noise(kinetic, 1.0, 64, 3, seed=17)
+    noise = _record(kinetic, 1.0, 64, 3, seed=17)
     fine = integrate_ensemble(kinetic, b, [0.1, 0.4], 1.0, 64, noise=noise)
     for factor in (2, 4, 8):
         cn = coarsen_noise(kinetic, noise, factor)
@@ -269,7 +275,8 @@ def test_sample_linear_matches_a_per_step_loop(kinetic):
     for model, n_paths, n_steps in ((kinetic, 1, 256), (kinetic, 700, 50),
                                     (_skewed_model(), 3, 40)):
         z = np.linspace(0.3, -0.2, model.dim)
-        bundle = sample_linear(model, 0.25, 1.0, z, n_paths, n_steps, seed=5)
+        bundle = sample_linear(model, 0.25, 1.0, z, n_paths, n_steps, seed=5,
+                               stream=("linear_flow", "sample"))
         rng = substream(5, "linear_flow", "sample")
         cur = np.broadcast_to(z, (n_paths, model.dim)).copy()
         Z, dW = [cur], []
@@ -287,7 +294,7 @@ def test_sample_linear_matches_a_per_step_loop(kinetic):
 def test_make_noise_rejects_an_empty_grid(kinetic, bad):
     args = dict(T=1.0, n_steps=4, n_paths=2) | bad
     with pytest.raises(ValueError, match="must"):
-        make_noise(kinetic, args["T"], args["n_steps"], args["n_paths"], 1)
+        _record(kinetic, args["T"], args["n_steps"], args["n_paths"], 1)
 
 
 def test_make_noise_peak_memory_is_the_record_plus_one_block(kinetic):
@@ -296,7 +303,7 @@ def test_make_noise_peak_memory_is_the_record_plus_one_block(kinetic):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rec = make_noise(kinetic, 2.0, 1024, 500, seed=4)
+        rec = _record(kinetic, 2.0, 1024, 500, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,7 +313,7 @@ def test_make_noise_peak_memory_is_the_record_plus_one_block(kinetic):
 def test_record_helpers_match_stepwise_loops(kinetic):
     for model in (kinetic, _skewed_model()):
         E = _step_kernels(model, 0.0, 1.0, 32)[0][0].E
-        rec = make_noise(model, 1.0, 32, 3, seed=9)
+        rec = _record(model, 1.0, 32, 3, seed=9)
         cn = coarsen_noise(model, rec, 4)
         for g in range(8):
             acc = rec.eta[:, 4 * g, :]
@@ -318,13 +325,18 @@ def test_record_helpers_match_stepwise_loops(kinetic):
 
 def test_noise_record_on_another_grid_rejected(kinetic):
     b = build_drift("zero", 1, 1)
-    rec = make_noise(kinetic, 1.0, 16, 2, seed=3)
+    rec = _record(kinetic, 1.0, 16, 2, seed=3)
     late = replace(rec, times=np.linspace(0.5, 1.0, 17))
     with pytest.raises(ValueError, match="grid"):
         integrate_ensemble(kinetic, b, [0.1, 0.4], 1.0, 16, noise=late)
     uneven = replace(rec, times=np.concatenate([[0.0], np.linspace(0.2, 1.0, 16)]))
     with pytest.raises(ValueError, match="grid"):
         integrate_ensemble(kinetic, b, [0.1, 0.4], 1.0, 16, noise=uneven)
+    # a 2-path record drives a 1-D start or two rows, and neither 3 rows nor 1
+    assert integrate_ensemble(kinetic, b, np.zeros((2, 2)), 1.0, 16, rec).n_paths == 2
+    for starts in (np.zeros((3, 2)), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="noise record has 2 paths"):
+            integrate_ensemble(kinetic, b, starts, 1.0, 16, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +403,13 @@ def test_stacked_uniqueness_rows_equal_single_runs(kinetic):
             noise = make_noise(kinetic, 1.0, n, 1, 2,
                                stream=("sde", "uniqueness", str(n)))
             starts = np.stack([z0, z0 + p * direction])
-            ens = integrate_ensemble(kinetic, b, starts, 1.0, n, noise=noise,
-                                     n_paths=2)
+            ens = integrate_ensemble(kinetic, b, starts, 1.0, n, noise)
+            # the one-path record drives both rows, as a record of it repeated
+            repeated = replace(noise, dW=np.repeat(noise.dW, 2, axis=0),
+                               eta=np.repeat(noise.eta, 2, axis=0))
+            twice = integrate_ensemble(kinetic, b, starts, 1.0, n, repeated)
+            for name in ("Z", "dW", "eta", "blowup_times"):
+                np.testing.assert_array_equal(getattr(ens, name), getattr(twice, name))
             single = [integrate_ensemble(kinetic, b, z, 1.0, n, noise=noise).Z[0]
                       for z in starts]
             np.testing.assert_array_equal(ens.Z[0], single[0])
@@ -430,8 +447,9 @@ def test_rough_gap_monotone_in_perturbation(kinetic):
 def test_representation_residual_zero_drift_tiny(kinetic):
     b = build_drift("zero", 1, 1)
     grid = GridSpec.cube(2, half_width=8.0, points=9, t_final=1.0, n_time=9)
-    field, _ = picard_solve(kinetic, b, 32.0, grid)
-    traj = integrate_ensemble(kinetic, b, [0.1, 0.2], 1.0, 64, noise=5)
+    field, _ = picard_solve(kinetic, b, 32.0, grid, tol=1e-8, max_iter=60)
+    traj = integrate_ensemble(kinetic, b, [0.1, 0.2], 1.0, 64,
+                              _record(kinetic, 1.0, 64, 1, 5))
     rep = representation_residual(kinetic, b, traj, field, 32.0)
     assert rep.max_residual[0] <= 1e-8
 
@@ -442,7 +460,7 @@ def test_representation_residual_constant_drift_order(kinetic):
     u_fn = lambda ts, pts: (c * (1.0 - np.exp(-lam * (T - ts))) / lam)[:, None]
     field = FunctionField(u_fn, 1, 1,
                           jac_fn=lambda ts, pts: np.zeros((pts.shape[0], 1, 1)))
-    noise = make_noise(kinetic, T, 512, 4, seed=7)
+    noise = _record(kinetic, T, 512, 4, seed=7)
     residuals = []
     for n in (128, 256, 512):
         cn = coarsen_noise(kinetic, noise, 512 // n)
@@ -494,14 +512,14 @@ def test_residual_matches_stepwise_recursion():
             * np.cos(pts[:, m:] @ mix.T + pts[:, :1])[:, :, None] * mix[None])
         field = FunctionField(u_fn, model.m, d, jac_fn=jac_fn)
         z0 = np.full(model.dim, 0.2)
-        traj = integrate_ensemble(model, b, z0, 1.0, 200, noise=4)
+        traj = integrate_ensemble(model, b, z0, 1.0, 200, _record(model, 1.0, 200, 1, 4))
         rep = representation_residual(model, b, traj, field, 16.0)
         expected = _stepwise_residual(model, traj, field, 16.0)
         assert rep.per_time[0, 0] == 0.0
         assert np.max(expected) > 1e-3  # the field is not a solution: O(1) residual
         np.testing.assert_allclose(rep.per_time[0], expected, rtol=0.0, atol=1e-12)
         # a 3-path ensemble in one call: each path on its own recursion
-        ens = integrate_ensemble(model, b, z0, 1.0, 200, noise=8, n_paths=3)
+        ens = integrate_ensemble(model, b, z0, 1.0, 200, _record(model, 1.0, 200, 3, 8))
         rep = representation_residual(model, b, ens, field, 16.0)
         np.testing.assert_array_equal(rep.max_residual, np.max(rep.per_time, axis=1))
         for p in range(3):
@@ -524,7 +542,7 @@ def test_residual_constant_sigma_equals_stacked_sigma():
         lambda ts, pts: (1.0 - ts)[:, None] * np.sin(pts[:, 2:] @ mix.T + pts[:, :1]), 2, 2,
         jac_fn=lambda ts, pts: ((1.0 - ts)[:, None, None]
                                 * np.cos(pts[:, 2:] @ mix.T + pts[:, :1])[:, :, None] * mix))
-    ens = integrate_ensemble(model, b, np.full(4, 0.1), 1.0, 64, noise=12, n_paths=3)
+    ens = integrate_ensemble(model, b, np.full(4, 0.1), 1.0, 64, _record(model, 1.0, 64, 3, 12))
     rep = representation_residual(model, b, ens, field, 8.0)
     ref = representation_residual(stacked, b, ens, field, 8.0)
     assert np.max(rep.per_time) > 1e-3
@@ -534,12 +552,12 @@ def test_residual_constant_sigma_equals_stacked_sigma():
 def test_representation_coverage_error(kinetic):
     b = build_drift("zero", 1, 1)
     grid = GridSpec.cube(2, half_width=0.5, points=9, t_final=1.0, n_time=5)
-    field, _ = picard_solve(kinetic, b, 32.0, grid)
-    traj = integrate_ensemble(kinetic, b, [0.0, 2.0], 1.0, 32, noise=3)
+    field, _ = picard_solve(kinetic, b, 32.0, grid, tol=1e-8, max_iter=60)
+    traj = integrate_ensemble(kinetic, b, [0.0, 2.0], 1.0, 32, _record(kinetic, 1.0, 32, 1, 3))
     with pytest.raises(CoverageError):
         representation_residual(kinetic, b, traj, field, 32.0)
     # over an ensemble the error names the first time any path is outside
-    ens = integrate_ensemble(kinetic, b, [0.0, 0.2], 1.0, 32, noise=3, n_paths=4)
+    ens = integrate_ensemble(kinetic, b, [0.0, 0.2], 1.0, 32, _record(kinetic, 1.0, 32, 4, 3))
     first = [int(np.argmax(np.any(np.abs(z) > 0.5, axis=1))) for z in ens.Z]
     assert min(first) > 0 and len(set(first)) == 4
     with pytest.raises(CoverageError, match=f"t={ens.times[min(first)]:.6g}$"):
