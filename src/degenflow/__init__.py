@@ -4,13 +4,14 @@ Modules
 -------
 model            system definitions (moduli, spectral operators, drifts) and
                  hypothesis validation
-linear_flow      exact Gaussian laws, path sampling, the linear semigroup by
-                 Gauss-Hermite, Hilbert-Schmidt noise diagnostics
+linear_flow      exact Gaussian laws, exact step draws, the linear semigroup
+                 by Gauss-Hermite, Hilbert-Schmidt noise diagnostics
 bismut           controllability Gramian, perturbation controls, Monte-Carlo
                  derivative estimators, coupling/Girsanov checks
 regularization   resolvent, fixed-point field, state transform, Galerkin
                  truncation comparisons
-sde              mild-solution integration, drift cutoffs, common-noise and
+sde              mild-solution integration (the linear flow's paths are its
+                 zero-drift ensembles), drift cutoffs, common-noise and
                  representation experiments, nonlinear Gronwall envelopes
 persist          columnar binary + CSV persistence
 cli              scenario runner (``degenflow run|list-scenarios|validate``,
@@ -19,8 +20,8 @@ cli              scenario runner (``degenflow run|list-scenarios|validate``,
 
 from .model import (DriftSpec, Modulus, SpectralModel, build_drift, build_example,
                     classify_modulus, validate_drift_regularity, validate_hypotheses)
-from .linear_flow import (GaussianLaw, PathBundle, apply_P0, hs_noise_integral,
-                          sample_linear, transition_law, transition_law_quadrature)
+from .linear_flow import (GaussianLaw, apply_P0, hs_noise_integral, transition_law,
+                          transition_law_quadrature)
 from .bismut import (bismut_gradient, bismut_hessian, gramian_Q,
                      perturbation_controls, scaling_exponent, verify_coupling)
 from .regularization import (FieldGrid, FunctionField, GridSpec, find_contraction_lambda,

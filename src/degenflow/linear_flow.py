@@ -1,4 +1,4 @@
-"""Exact Gaussian law and sampling for the degenerate linear flow.
+"""Exact Gaussian law and step draws for the degenerate linear flow.
 
 The linear system on R^m x R^d,
 
@@ -12,36 +12,37 @@ Gaussian with mean e^{h AA} z and covariance
 
 computed by Van Loan's augmented-block exponential at a step small enough
 for it and doubled by squaring up to h (``_step_law``, one route for every
-A, stiff or not), and cross-checkable by direct quadrature.  Sampling
-records the raw Brownian increments dW per step and draws the exact
-within-step noise convolution conditionally on them, so paths are exactly
-distributed while the increments remain available for stochastic-integral
-weights and common-noise reuse.  Whole runs of steps are drawn at once,
-one generator call per block of steps.
+A, stiff or not), and cross-checkable by direct quadrature.  A step
+kernel draws the raw Brownian increments dW per step and the exact
+within-step noise convolution conditionally on them, so the increments
+remain available for stochastic-integral weights and common-noise reuse.
+Whole runs of steps are drawn at once, one generator call per block of
+steps.
+
+Paths of the linear flow are not sampled here: they are the zero-drift
+ensembles of ``sde.integrate_ensemble`` driven by a record of these draws
+(``sde.make_noise``), whose exponential-Euler step is exact for b = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import CapabilityError
 from .model import SpectralModel, _expm
-from .streams import stream_name, substream
 
 __all__ = [
     "GaussianLaw",
-    "PathBundle",
     "HSNoiseReport",
     "StepKernel",
     "step_kernel",
     "transition_law",
     "transition_law_quadrature",
-    "sample_linear",
     "apply_P0",
     "hs_noise_integral",
     "psd_sqrt",
@@ -179,7 +180,7 @@ def transition_law_quadrature(model: SpectralModel, s: float, t: float, z) -> Ga
 
 
 # ---------------------------------------------------------------------------
-# Step kernels and exact path sampling
+# Step kernels and exact step draws
 
 
 @dataclass(frozen=True)
@@ -255,72 +256,15 @@ def _step_kernels(model: SpectralModel, s: float, t: float, n_steps: int):
 
 def _draw_steps(model: SpectralModel, s: float, t: float, n_paths: int,
                 n_steps: int, rng: np.random.Generator):
-    """(runs, dW, eta): the step kernels of the uniform grid on [s, t] and
-    their exact step-major draws, one ``StepKernel.draw`` per run."""
+    """(dW, eta): exact step-major draws of the step kernels of the uniform
+    grid on [s, t], one ``StepKernel.draw`` per run."""
     if n_paths < 1 or n_steps < 1:
         raise ValueError("n_paths and n_steps must be >= 1")
     if t <= s:
         raise ValueError("t must exceed s")
-    runs = _step_kernels(model, s, t, n_steps)
-    draws = [ker.draw(rng, n_paths, n) for ker, n in runs]
+    draws = [ker.draw(rng, n_paths, n) for ker, n in _step_kernels(model, s, t, n_steps)]
     # a single run is returned as drawn: joining would copy the whole record
-    dW, eta = draws[0] if len(draws) == 1 else (np.concatenate(a) for a in zip(*draws))
-    return runs, dW, eta
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """Sampled linear-flow paths with their driving Brownian increments.
-
-    Arrays are path-major: X is (n_paths, N+1, m), Y is (n_paths, N+1, d),
-    dW is (n_paths, N, k), a path-major view of step-major memory as in a
-    NoiseRecord.  Per-step increments have covariance h I, and the
-    states were advanced with the exact conditional noise convolution, so the
-    same randomness can be reused for common-noise experiments.
-    """
-
-    times: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    dW: np.ndarray
-    seed: int
-    stream: str
-
-    @property
-    def n_paths(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.dW.shape[1]
-
-    @property
-    def Z(self) -> np.ndarray:
-        return np.concatenate([self.X, self.Y], axis=-1)
-
-
-def sample_linear(model: SpectralModel, s: float, t: float, z,
-                  n_paths: int, n_steps: int, seed: int,
-                  stream: Sequence[str]) -> PathBundle:
-    """Sample exact linear-flow paths on a uniform grid over [s, t].
-
-    The increments and convolutions are drawn up front, one
-    ``StepKernel.draw`` per run of step kernels (the same stream and bits
-    as a draw per step), and the states advance one step at a time with each
-    step's kernel.
-    """
-    rng = substream(seed, *stream)
-    z = np.asarray(z, dtype=float).reshape(model.dim)
-    runs, dW, eta = _draw_steps(model, s, t, n_paths, n_steps, rng)
-    Z = np.empty((n_paths, n_steps + 1, model.dim))
-    Z[:, 0, :] = z
-    cur = np.broadcast_to(z, (n_paths, model.dim)).copy()
-    for i, ker in enumerate(ker for ker, n in runs for _ in range(n)):
-        cur = cur @ ker.E.T + eta[i]
-        Z[:, i + 1, :] = cur
-    return PathBundle(times=np.linspace(s, t, n_steps + 1), X=Z[:, :, : model.m],
-                      Y=Z[:, :, model.m:], dW=dW.transpose(1, 0, 2), seed=int(seed),
-                      stream=stream_name(*stream))
+    return draws[0] if len(draws) == 1 else tuple(np.concatenate(a) for a in zip(*draws))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Persistence: a columnar binary format plus CSV emission.
 
 Binary layout: magic ``DGFB``, a version byte, a little-endian uint32 header
-length, a JSON header (kind, dims, grid metadata, seed/stream, array
-directory), then the arrays as raw little-endian float64 in directory order,
-path-major.  Writes are atomic (temp file + rename).
+length, a JSON header (kind, dims, grid metadata, array directory), then the
+arrays as raw little-endian float64 in directory order, path-major.  Paths,
+one or many, are an ``EnsembleTrajectories`` in one file kind,
+``path_bundle``.  No header names the seed or streams its data were drawn
+from: that belongs to a record of the run, not to an artifact.  Writes are
+atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -19,16 +22,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .regularization import FieldGrid
-from .linear_flow import PathBundle
 from .sde import EnsembleTrajectories
 
 MAGIC = b"DGFB"
-VERSION = 1
+VERSION = 2
 
 __all__ = [
     "save_bundle", "load_bundle",
     "save_field", "load_field",
-    "save_trajectory", "load_trajectory",
     "write_csv", "bundle_to_csv", "picard_report_to_csv",
 ]
 
@@ -85,27 +86,26 @@ def _unpack(path) -> tuple:
 
 # -- path bundles -----------------------------------------------------------
 
-def save_bundle(bundle: PathBundle, path) -> None:
+def save_bundle(ens: EnsembleTrajectories, path) -> None:
+    """Write the paths of an ensemble of any path count; a nan blow-up time
+    (no blow-up) round-trips as nan."""
     meta = {
-        "dims": {"n_paths": bundle.n_paths, "n_steps": bundle.n_steps,
-                 "m": bundle.X.shape[-1], "d": bundle.Y.shape[-1],
-                 "k": bundle.dW.shape[-1]},
-        "grid": [float(bundle.times[0]), float(bundle.times[-1])],
-        "seed": bundle.seed,
-        "stream": bundle.stream,
+        "dims": {"n_paths": ens.n_paths, "n_steps": ens.n_steps, "m": ens.m,
+                 "d": ens.Z.shape[-1] - ens.m, "k": ens.dW.shape[-1]},
+        "grid": [float(ens.times[0]), float(ens.times[-1])],
     }
-    arrays = [("times", bundle.times), ("X", bundle.X), ("Y", bundle.Y),
-              ("dW", bundle.dW)]
+    arrays = [("times", ens.times), ("Z", ens.Z), ("dW", ens.dW), ("eta", ens.eta),
+              ("blowup_times", ens.blowup_times)]
     _atomic_write(path, _pack("path_bundle", meta, arrays))
 
 
-def load_bundle(path) -> PathBundle:
+def load_bundle(path) -> EnsembleTrajectories:
     header, arrays = _unpack(path)
     if header["kind"] != "path_bundle":
         raise ValueError(f"{path}: expected a path_bundle, got {header['kind']}")
-    return PathBundle(times=arrays["times"], X=arrays["X"], Y=arrays["Y"],
-                      dW=arrays["dW"], seed=int(header["seed"]),
-                      stream=header["stream"])
+    return EnsembleTrajectories(times=arrays["times"], Z=arrays["Z"], dW=arrays["dW"],
+                                eta=arrays["eta"], blowup_times=arrays["blowup_times"],
+                                m=int(header["dims"]["m"]))
 
 
 # -- field grids -------------------------------------------------------------
@@ -116,7 +116,6 @@ def save_field(field: FieldGrid, path) -> None:
                  "shape": [int(a.size) for a in field.axes]},
         "grid": {"lo": [float(a[0]) for a in field.axes],
                  "hi": [float(a[-1]) for a in field.axes]},
-        "seed": 0,
         "bound": field.sup_value(),
     }
     arrays = [("times", field.times)]
@@ -133,40 +132,6 @@ def load_field(path) -> FieldGrid:
     axes = tuple(arrays[f"axis{i}"] for i in range(len(dims["shape"])))
     return FieldGrid(times=arrays["times"], axes=axes, values=arrays["values"],
                      m=int(dims["m"]), d=int(dims["d"]))
-
-
-# -- trajectories -------------------------------------------------------------
-
-def save_trajectory(traj: EnsembleTrajectories, path) -> None:
-    """Write a one-path ensemble; an ensemble of more paths is a ValueError."""
-    if traj.n_paths != 1:
-        raise ValueError(f"save_trajectory writes one path, got {traj.n_paths}")
-    blow = float(traj.blowup_times[0])
-    blew = bool(np.isfinite(blow))
-    meta = {
-        "dims": {"n_steps": traj.n_steps, "m": traj.m,
-                 "dim": traj.Z.shape[-1], "k": traj.dW.shape[-1]},
-        "grid": [float(traj.times[0]), float(traj.times[-1])],
-        "seed": -1,
-        "stream": "",
-        "blew_up": blew,
-        "blowup_time": blow if blew else None,
-    }
-    arrays = [("times", traj.times), ("Z", traj.Z[0]), ("dW", traj.dW[0]),
-              ("eta", traj.eta[0])]
-    _atomic_write(path, _pack("mild_trajectory", meta, arrays))
-
-
-def load_trajectory(path) -> EnsembleTrajectories:
-    """Read a trajectory file as a one-path ensemble."""
-    header, arrays = _unpack(path)
-    if header["kind"] != "mild_trajectory":
-        raise ValueError(f"{path}: expected a mild_trajectory, got {header['kind']}")
-    blow = header["blowup_time"]
-    return EnsembleTrajectories(
-        times=arrays["times"], Z=arrays["Z"][None], dW=arrays["dW"][None],
-        eta=arrays["eta"][None], blowup_times=np.array([np.nan if blow is None else blow]),
-        m=int(header["dims"]["m"]))
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -191,7 +156,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         raise
 
 
-def bundle_to_csv(bundle: PathBundle, path) -> None:
+def bundle_to_csv(bundle: EnsembleTrajectories, path) -> None:
     """Row-per-(path, node) CSV for bundles of at most 64 paths."""
     if bundle.n_paths > 64:
         raise ValueError(f"bundle too large for CSV ({bundle.n_paths} paths; "

@@ -16,11 +16,10 @@ from typing import Callable, List, Mapping, Optional
 
 import numpy as np
 
-from . import bismut, linear_flow, regularization as reg, sde
+from . import bismut, regularization as reg, sde
 from .config import ScenarioConfig
 from .model import build_drift, build_example
-from .persist import (bundle_to_csv, picard_report_to_csv, save_bundle, save_field,
-                      save_trajectory, write_csv)
+from .persist import bundle_to_csv, picard_report_to_csv, save_bundle, save_field, write_csv
 
 ANCHORS = {
     "gramian-cubic-scaling":
@@ -120,8 +119,10 @@ def _run_kinetic_bismut(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     write_csv(outdir / "gradients.csv",
               ["s", "T", "component", "direction", "value", "stderr", "n_paths", "seed"],
               rows)
-    sample = linear_flow.sample_linear(model, 0.0, 1.0, [0.0, 0.0], 16, 64,
-                                       seed, stream=("scenario", "kinetic", "bundle"))
+    # linear-flow paths: the zero-drift exponential-Euler step is exact
+    noise = sde.make_noise(model, 1.0, 64, 16, seed, stream=("scenario", "kinetic", "bundle"))
+    sample = sde.integrate_ensemble(model, build_drift("zero", 1, 1), [0.0, 0.0], 1.0, 64,
+                                    noise)
     save_bundle(sample, outdir / "paths.dgfb")
     bundle_to_csv(sample, outdir / "paths.csv")
     return lines
@@ -304,7 +305,7 @@ def _run_representation_residual(cfg: ScenarioConfig, outdir: Path) -> List[str]
     write_csv(outdir / "residuals.csv",
               ["scenario", "n_steps", "mean_max_residual", "ratio_vs_prev"], rows)
     save_field(f_rough, outdir / "rough_field.dgfb")
-    save_trajectory(ensembles["rough"][0].path(0), outdir / "rough_trajectory.dgfb")
+    save_bundle(ensembles["rough"][0].path(0), outdir / "rough_trajectory.dgfb")
     return lines
 
 

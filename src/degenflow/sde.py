@@ -113,7 +113,7 @@ def make_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
     ValueError unless n_steps >= 1, n_paths >= 1 and T > 0.
     """
     rng = substream(seed, *stream)
-    _, dW, eta = _draw_steps(model, 0.0, T, n_paths, n_steps, rng)
+    dW, eta = _draw_steps(model, 0.0, T, n_paths, n_steps, rng)
     return NoiseRecord(times=np.linspace(0.0, T, n_steps + 1),
                        dW=dW.transpose(1, 0, 2), eta=eta.transpose(1, 0, 2))
 

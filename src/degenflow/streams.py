@@ -25,7 +25,3 @@ def substream(seed: int, *path: str) -> np.random.Generator:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=words))
-
-
-def stream_name(*path: str) -> str:
-    return "/".join(path)

@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import assert_within_se
+from conftest import assert_within_se, linear_paths
 from degenflow import bismut
 from degenflow.bismut import (GRAMIAN_SWEEP, SCALING_STEPS, _JointLaw, _law_moments,
                               _weight_table, bismut_gradient, bismut_hessian, gramian_Q,
                               perturbation_controls, scaling_exponent,
                               transported_direction, verify_coupling)
 from degenflow.errors import AccuracyWarning, SingularGramianError
-from degenflow.linear_flow import _step_kernels, apply_P0, sample_linear
+from degenflow.linear_flow import _step_kernels, apply_P0
 from degenflow.model import SpectralModel, _expm, build_example
 
 
@@ -339,9 +339,8 @@ def _sigma_in_time():
 def _pathwise(model, f, z, windows, n_paths, n_steps, seed):
     """Path-stepping oracle: f(Z_T) times the product of the Ito sums
     sum <h(r_i), dW_i>, one per (ctrl, first step, last step) window, all on
-    the paths and increments of sample_linear over [0, 1]."""
-    bundle = sample_linear(model, 0.0, 1.0, z, n_paths, n_steps, seed,
-                           stream=("linear_flow", "sample"))
+    the paths and increments of the zero-drift ensemble over [0, 1]."""
+    bundle = linear_paths(model, z, n_paths, n_steps, seed)
     prod = np.asarray(f(bundle.Z[:, -1]), dtype=float)
     for ctrl, i0, i1 in windows:
         hvec = ctrl.weight_vector(bundle.times[i0:i1])

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from degenflow.cli import main
-from degenflow.persist import load_bundle, load_field, load_trajectory
+from degenflow.persist import load_bundle, load_field
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -37,9 +37,8 @@ NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:nan|i
 
 # the attributes of what each reader returns
 LOADED = {
-    load_bundle: ("times", "X", "Y", "dW", "seed", "stream"),
+    load_bundle: ("times", "Z", "dW", "eta", "blowup_times", "m"),
     load_field: ("times", "axes", "values", "m", "d"),
-    load_trajectory: ("times", "Z", "dW", "eta", "blowup_times", "m"),
 }
 
 

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_within_se
+from conftest import assert_within_se, linear_paths
 from degenflow.errors import CapabilityError
-from degenflow.linear_flow import (_step_law, apply_P0, hs_noise_integral, sample_linear,
-                                   transition_law, transition_law_quadrature)
+from degenflow.linear_flow import (_step_law, apply_P0, hs_noise_integral, transition_law,
+                                   transition_law_quadrature)
 from degenflow.model import SpectralModel, build_example
-
-SAMPLE = ("linear_flow", "sample")
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +102,12 @@ def test_gaussian_composition_reproduces_law(kinetic, frac):
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Sampling: the path sampler is the zero-drift ensemble of sde
 
 
 def test_sample_moments_match_law(kinetic):
     n = 20000
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.0, 0.0], n, 8, seed=7, stream=SAMPLE)
+    bundle = linear_paths(kinetic, [0.0, 0.0], n, 8, seed=7)
     law = transition_law(kinetic, 0.0, 1.0, [0.0, 0.0])
     term = np.concatenate([bundle.X[:, -1, :], bundle.Y[:, -1, :]], axis=1)
     for j in range(2):
@@ -120,7 +118,7 @@ def test_sample_moments_match_law(kinetic):
 
 
 def test_increment_covariance_is_h_times_identity(kinetic):
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.0, 0.0], 20000, 4, seed=3, stream=SAMPLE)
+    bundle = linear_paths(kinetic, [0.0, 0.0], 20000, 4, seed=3)
     h = 0.25
     flat = bundle.dW.reshape(-1, bundle.dW.shape[-1])
     var = flat.var(ddof=1)
@@ -130,7 +128,7 @@ def test_increment_covariance_is_h_times_identity(kinetic):
 
 def test_zero_noise_paths_equal_deterministic_flow():
     model, _ = build_example("kinetic", d=1, sigma=np.zeros((1, 1)))
-    bundle = sample_linear(model, 0.0, 1.0, [1.0, 2.0], 3, 4, seed=0, stream=SAMPLE)
+    bundle = linear_paths(model, [1.0, 2.0], 3, 4, seed=0)
     E, _, _ = _step_law(model.block_operator(), model.noise_matrix(0.0), 0.25)
     z = np.array([1.0, 2.0])
     for i in range(4):
@@ -139,8 +137,8 @@ def test_zero_noise_paths_equal_deterministic_flow():
 
 
 def test_fixed_seed_bit_identical(kinetic):
-    a = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 50, 16, seed=11, stream=SAMPLE)
-    b = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 50, 16, seed=11, stream=SAMPLE)
+    a = linear_paths(kinetic, [0.1, 0.2], 50, 16, seed=11)
+    b = linear_paths(kinetic, [0.1, 0.2], 50, 16, seed=11)
     np.testing.assert_array_equal(a.Z, b.Z)
     np.testing.assert_array_equal(a.dW, b.dW)
 

