@@ -97,15 +97,20 @@ def _gramian_blocks(model: SpectralModel, t: float):
     With K(r) = e^{rA0} B B* e^{rA0*}, blocks (3, 4), (2, 4) and (1, 4)
     left-multiplied by e^{tA0} are W0 = int_0^t K(r) dr,
     W1 = int_0^t (t-r) K(r) dr and W2 = int_0^t (t-r)^2/2 K(r) dr, and
-    r (t-r) = t (t-r) - (t-r)^2 gives Q_t = t W1 - 2 W2.
+    r (t-r) = t (t-r) - (t-r)^2 gives Q_t = t W1 - 2 W2.  SingularGramianError
+    if a stiff A0 overflows Q, W0 or W1 (blocks not read here may overflow).
     """
     m, A0 = model.m, model.A0
     I = np.eye(m)
-    F = _block_expm([-A0, -A0, -A0, A0.T], [I, I, model.B @ model.B.T], t)
-    EA0 = F[3 * m:, 3 * m:].T
-    W1 = EA0 @ F[m:2 * m, 3 * m:]
-    Q = t * W1 - 2.0 * (EA0 @ F[:m, 3 * m:])
-    return (Q + Q.T) / 2.0, EA0 @ F[2 * m:3 * m, 3 * m:], W1
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = _block_expm([-A0, -A0, -A0, A0.T], [I, I, model.B @ model.B.T], t)
+        EA0 = F[3 * m:, 3 * m:].T
+        W1 = EA0 @ F[m:2 * m, 3 * m:]
+        Q = t * W1 - 2.0 * (EA0 @ F[:m, 3 * m:])
+        W0 = EA0 @ F[2 * m:3 * m, 3 * m:]
+    if not all(np.isfinite(a).all() for a in (Q, W0, W1)):
+        raise SingularGramianError(f"Gramian at t={t} overflows (stiff A0)")
+    return (Q + Q.T) / 2.0, W0, W1
 
 
 def _ramp_integrals(A0: np.ndarray, t: float):

@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import SCENARIOS, load_config
 from .errors import ConfigError, DegenflowError, HypothesisViolationError
 
 
@@ -37,7 +37,7 @@ def _resolve_outdir(args, cfg) -> Path:
 
 
 def _cmd_run(args) -> int:
-    from .scenarios import run_scenario
+    from .scenarios import run_scenario  # only run loads numpy and scipy
     cfg = load_config(args.config)
     outdir = _resolve_outdir(args, cfg)
     lines = run_scenario(cfg, outdir)
@@ -51,7 +51,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    from .scenarios import SCENARIOS
     if args.machine:
         print("name,anchor,description")
         for name in sorted(SCENARIOS):

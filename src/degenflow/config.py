@@ -1,4 +1,7 @@
-"""Scenario configuration: a single nested key-value YAML file per run.
+"""Scenario configuration: a single nested key-value YAML file per run, the
+scenario catalog ``SCENARIOS`` its one gate enforces, and the claim table
+``ANCHORS``.  It imports neither numpy nor scipy; the runners are in
+``scenarios``.
 
 Sections:
 
@@ -20,13 +23,121 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 import yaml
 
 from .errors import ConfigError
+
+ANCHORS = {
+    "gramian-cubic-scaling":
+        "inverse Gramian scaling: sup_t ||Q_t^-1|| t^3 stays bounded "
+        "(exactly 6 for the scalar case)",
+    "bismut-gradient-identity":
+        "semigroup derivative equals the expectation of the observable times "
+        "a stochastic-integral weight built from the perturbation control",
+    "coupling-terminal-coincidence":
+        "the coupled flow rejoins the base path at the terminal time and the "
+        "Girsanov reweighting has unit mean",
+    "gradient-x-exponent":
+        "x-direction gradient norm of the semigroup scales like "
+        "gap^(-3(1-alpha)/2) on bounded observables (alpha = 0 gives -3/2)",
+    "gradient-y-exponent":
+        "y-direction gradient norm of the semigroup scales like gap^(-1/2) "
+        "on bounded observables",
+    "picard-contraction-half":
+        "the discounted fixed-point map contracts with factor <= 1/2 once "
+        "the discount rate is large enough",
+    "field-norm-sqrt-decay":
+        "the fixed-point norm (sup plus y-gradient sup) decays like "
+        "lambda^(-1/2) along a discount sweep",
+    "galerkin-gap-decay":
+        "spectral truncation gaps of the fixed-point field decrease as more "
+        "modes are retained",
+    "representation-identity":
+        "the noisy component of a solution is representable through the "
+        "regularization field; the residual vanishes under refinement",
+    "uniqueness-common-noise":
+        "common-noise trajectories started at merging points collapse with "
+        "the perturbation (pathwise-uniqueness evidence, not proof)",
+    "bihari-envelope":
+        "pathwise energy stays below the nonlinear Gronwall envelope built "
+        "from measured constants; no explosion under dissipative growth",
+}
+
+
+@dataclass(frozen=True)
+class ScenarioInfo:
+    """A catalog entry; ``knobs`` maps every experiment key the runner reads
+    besides scenario and seed to its default, whose type a config value must
+    have, ``model_kind`` names the kind of model section it reads, if any,
+    ``model_keys`` maps the keys of that section it passes on to build_example
+    to the type their values must have, and ``bounds`` maps a knob to the
+    (op, limit) its value, or each item of its list, must satisfy beyond that
+    type (op is ">", ">=" or "!=").  Validation rejects any other key, value
+    or section, and the runner trusts it."""
+
+    description: str
+    anchor: str
+    knobs: Mapping[str, object] = field(default_factory=dict)
+    model_kind: Optional[str] = None
+    model_keys: Mapping[str, type] = field(default_factory=dict)
+    bounds: Mapping[str, tuple] = field(default_factory=dict)
+
+
+# the mode counts galerkin_wave compares
+GALERKIN_LEVELS = (2, 4, 8)
+
+SCENARIOS = {
+    "kinetic_bismut": ScenarioInfo(
+        "Monte-Carlo derivative probes on the kinetic scalar flow vs analytic "
+        "Gaussian derivatives, plus the coupling/Girsanov check",
+        "bismut-gradient-identity",
+        {"n_paths": 20000, "n_steps": 256}, bounds={"n_paths": (">=", 2)}),
+    "gradient_scaling": ScenarioInfo(
+        "fitted gap-exponents of the semigroup gradient sup-norms in both "
+        "direction classes",
+        "gradient-x-exponent",
+        {"budget": 240000}),
+    "gramian_sweep": ScenarioInfo(
+        "dyadic sweep of the inverse-Gramian cubic scaling",
+        "gramian-cubic-scaling"),
+    "picard_lambda_sweep": ScenarioInfo(
+        "fixed-point solves along a doubling discount sweep with norm decay "
+        "and contraction factors",
+        "field-norm-sqrt-decay",
+        {"base_points": 192}),
+    "galerkin_wave": ScenarioInfo(
+        "truncation-gap decay of the fixed-point field for the wave system",
+        "galerkin-gap-decay",
+        {"n_reference": 12, "amplitude": 1.0, "lam": 64.0}, model_kind="wave",
+        model_keys={"kind": str, "theta": float, "d_space": int, "delta": float},
+        # a level needs as many modes, and a zero drift has an all-zero field
+        bounds={"n_reference": (">=", GALERKIN_LEVELS[-1]), "lam": (">", 0),
+                "amplitude": ("!=", 0)}),
+    "uniqueness_rough": ScenarioInfo(
+        "common-noise gap tables for the rough drift across perturbations "
+        "and step counts",
+        "uniqueness-common-noise",
+        {"t_final": 1.0, "steps": [256, 512, 1024],
+         "perturbations": [1e-2, 1e-3, 1e-4, 0.0]},
+        bounds={"t_final": (">", 0), "perturbations": (">=", 0)}),
+    "representation_residual": ScenarioInfo(
+        "residual decay of the field representation identity under step "
+        "refinement (constant and rough drifts)",
+        "representation-identity",
+        {"lam": 64.0, "n_paths": 8, "rough_gridpoints": 1025,
+         "rough_timenodes": 129},
+        bounds={"lam": (">", 0), "rough_gridpoints": (">=", 2),
+                "rough_timenodes": (">=", 2)}),
+    "bihari_envelope": ScenarioInfo(
+        "pathwise nonlinear-Gronwall envelope check for the dissipative drift",
+        "bihari-envelope",
+        {"t_final": 2.0, "n_paths": 1000, "n_steps": 512},
+        bounds={"t_final": (">", 0)}),
+}
 
 
 @dataclass(frozen=True)
@@ -42,10 +153,6 @@ class ScenarioConfig:
         return dict(self.raw.get("experiment", {}))
 
     @property
-    def output(self) -> dict:
-        return dict(self.raw.get("output", {}))
-
-    @property
     def scenario(self) -> str:
         return str(self.experiment.get("scenario", ""))
 
@@ -55,7 +162,6 @@ class ScenarioConfig:
 
     def knob(self, name: str):
         """An experiment knob's value, or its catalog default, as the default's type."""
-        from .scenarios import SCENARIOS
         default = SCENARIOS[self.scenario].knobs[name]
         value = self.experiment.get(name, default)
         if isinstance(default, list):
@@ -63,7 +169,7 @@ class ScenarioConfig:
         return type(default)(value)
 
     def outdir(self) -> Path:
-        return Path(self.output.get("dir", "degenflow-out"))
+        return Path(self.raw.get("output", {}).get("dir", "degenflow-out"))
 
 
 _COMPARE = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
@@ -99,7 +205,6 @@ def _knob_problem(value, default, bound) -> Optional[str]:
 
 def validate_config(raw: dict) -> list:
     """Field-level validation; returns a list of error strings (empty = ok)."""
-    from .scenarios import SCENARIOS
     errors = []
     if not isinstance(raw, dict):
         return ["config root must be a mapping"]
@@ -110,6 +215,8 @@ def validate_config(raw: dict) -> list:
     scenario = exp.get("scenario")
     if not scenario:
         errors.append("experiment.scenario: missing")
+    elif not isinstance(scenario, str):
+        errors.append(f"experiment.scenario: must be a scenario name, got {scenario!r}")
     elif scenario not in SCENARIOS:
         errors.append(f"experiment.scenario: unknown scenario {scenario!r}; "
                       f"known: {', '.join(sorted(SCENARIOS))}")

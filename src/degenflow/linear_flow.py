@@ -254,19 +254,6 @@ def _step_kernels(model: SpectralModel, s: float, t: float, n_steps: int):
     return [(step_kernel(model, float(times[i]), h), 1) for i in range(n_steps)]
 
 
-def _draw_steps(model: SpectralModel, s: float, t: float, n_paths: int,
-                n_steps: int, rng: np.random.Generator):
-    """(dW, eta): exact step-major draws of the step kernels of the uniform
-    grid on [s, t], one ``StepKernel.draw`` per run."""
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError("n_paths and n_steps must be >= 1")
-    if t <= s:
-        raise ValueError("t must exceed s")
-    draws = [ker.draw(rng, n_paths, n) for ker, n in _step_kernels(model, s, t, n_steps)]
-    # a single run is returned as drawn: joining would copy the whole record
-    return draws[0] if len(draws) == 1 else tuple(np.concatenate(a) for a in zip(*draws))
-
-
 # ---------------------------------------------------------------------------
 # Semigroup application
 

@@ -21,6 +21,7 @@ component and a continuity modulus phi in the second, plus growth data
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -605,14 +606,23 @@ def validate_drift_regularity(b: DriftSpec, ball_radius: float, n_samples: int,
 
 
 def _wave_eigenvalues(n_modes: int, theta: float, d_space: int) -> np.ndarray:
-    """Leading Dirichlet-Laplacian eigenvalues on the unit box, raised to theta."""
+    """Leading Dirichlet-Laplacian eigenvalues on the unit box, raised to
+    theta: |k|^2 pi^2 over multi-indices k >= 1, the least off a heap grown
+    from (1, ..., 1), about n_modes * d_space entries."""
     if d_space == 1:
         base = (np.arange(1, n_modes + 1) * math.pi) ** 2
     else:
-        side = int(math.ceil((2 * n_modes) ** (1.0 / d_space))) + 2
-        grids = np.meshgrid(*([np.arange(1, side + 1)] * d_space), indexing="ij")
-        lam = sum(g.astype(float) ** 2 for g in grids) * math.pi ** 2
-        base = np.sort(lam.ravel())[:n_modes]
+        start = (1,) * d_space
+        heap, seen, sums = [(d_space, start)], {start}, []
+        while len(sums) < n_modes:
+            total, k = heapq.heappop(heap)
+            sums.append(total)
+            for j in range(d_space):
+                up = k[:j] + (k[j] + 1,) + k[j + 1:]
+                if up not in seen:
+                    seen.add(up)
+                    heapq.heappush(heap, (total + 2 * k[j] + 1, up))
+        base = np.array(sums, dtype=float) * math.pi ** 2
     return base ** theta
 
 

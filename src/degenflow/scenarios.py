@@ -1,81 +1,25 @@
-"""Built-in scenario catalog: the example systems and diagnostic sweeps.
+"""Scenario runners: one ``_run_<name>`` per entry of ``config.SCENARIOS``,
+found by that name in ``run_scenario``.
 
-Every scenario consumes a validated ScenarioConfig, derives all randomness
+Every runner consumes a validated ScenarioConfig, derives all randomness
 from the config seed through named substreams, writes CSV artifacts once
 (atomically) into the output directory, and returns human-readable summary
-lines.  Summary lines cite claims only through the fixed anchor table below
-(no free-text citations).
+lines.  Summary lines cite claims only through the fixed anchor table
+``config.ANCHORS`` (no free-text citations).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Mapping, Optional
+from typing import List
 
 import numpy as np
 
 from . import bismut, regularization as reg, sde
-from .config import ScenarioConfig
+from .config import ANCHORS, GALERKIN_LEVELS, ScenarioConfig
 from .model import build_drift, build_example
 from .persist import bundle_to_csv, picard_report_to_csv, save_bundle, save_field, write_csv
-
-ANCHORS = {
-    "gramian-cubic-scaling":
-        "inverse Gramian scaling: sup_t ||Q_t^-1|| t^3 stays bounded "
-        "(exactly 6 for the scalar case)",
-    "bismut-gradient-identity":
-        "semigroup derivative equals the expectation of the observable times "
-        "a stochastic-integral weight built from the perturbation control",
-    "coupling-terminal-coincidence":
-        "the coupled flow rejoins the base path at the terminal time and the "
-        "Girsanov reweighting has unit mean",
-    "gradient-x-exponent":
-        "x-direction gradient norm of the semigroup scales like "
-        "gap^(-3(1-alpha)/2) on bounded observables (alpha = 0 gives -3/2)",
-    "gradient-y-exponent":
-        "y-direction gradient norm of the semigroup scales like gap^(-1/2) "
-        "on bounded observables",
-    "picard-contraction-half":
-        "the discounted fixed-point map contracts with factor <= 1/2 once "
-        "the discount rate is large enough",
-    "field-norm-sqrt-decay":
-        "the fixed-point norm (sup plus y-gradient sup) decays like "
-        "lambda^(-1/2) along a discount sweep",
-    "galerkin-gap-decay":
-        "spectral truncation gaps of the fixed-point field decrease as more "
-        "modes are retained",
-    "representation-identity":
-        "the noisy component of a solution is representable through the "
-        "regularization field; the residual vanishes under refinement",
-    "uniqueness-common-noise":
-        "common-noise trajectories started at merging points collapse with "
-        "the perturbation (pathwise-uniqueness evidence, not proof)",
-    "bihari-envelope":
-        "pathwise energy stays below the nonlinear Gronwall envelope built "
-        "from measured constants; no explosion under dissipative growth",
-}
-
-
-@dataclass(frozen=True)
-class ScenarioInfo:
-    """A catalog entry; ``knobs`` maps every experiment key the runner reads
-    besides scenario and seed to its default, whose type a config value must
-    have, ``model_kind`` names the kind of model section it reads, if any,
-    ``model_keys`` maps the keys of that section it passes on to build_example
-    to the type their values must have, and ``bounds`` maps a knob to the
-    (op, limit) its value, or each item of its list, must satisfy beyond that
-    type (op is ">", ">=" or "!=").  Validation rejects any other key, value
-    or section, and the runner trusts it."""
-
-    description: str
-    anchor: str
-    runner: Callable
-    knobs: Mapping[str, object] = field(default_factory=dict)
-    model_kind: Optional[str] = None
-    model_keys: Mapping[str, type] = field(default_factory=dict)
-    bounds: Mapping[str, tuple] = field(default_factory=dict)
 
 
 def _anchor_line(anchor: str, text: str) -> str:
@@ -203,9 +147,6 @@ def _run_picard_lambda_sweep(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     ]
 
 
-_GALERKIN_LEVELS = (2, 4, 8)
-
-
 def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     n_ref = cfg.knob("n_reference")
     section = cfg.model_section
@@ -217,7 +158,7 @@ def _run_galerkin_wave(cfg: ScenarioConfig, outdir: Path) -> List[str]:
     grid = reg.GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), shape=(33, 33),
                         t_final=1.0, n_time=17)
     report = reg.galerkin_compare(model, drifts, lam=cfg.knob("lam"),
-                                  levels=_GALERKIN_LEVELS, grid2d=grid, seed=cfg.seed)
+                                  levels=GALERKIN_LEVELS, grid2d=grid, seed=cfg.seed)
     write_csv(outdir / "galerkin.csv", ["level", "value_gap", "grad_gap"],
               [[n, v, g] for n, v, g in zip(report.levels, report.value_gaps,
                                             report.grad_gaps)])
@@ -334,57 +275,8 @@ def _run_bihari_envelope(cfg: ScenarioConfig, outdir: Path) -> List[str]:
         f"{rep.n_blowups}; min margin {rep.margins.min():.3e}")]
 
 
-SCENARIOS = {
-    "kinetic_bismut": ScenarioInfo(
-        "Monte-Carlo derivative probes on the kinetic scalar flow vs analytic "
-        "Gaussian derivatives, plus the coupling/Girsanov check",
-        "bismut-gradient-identity", _run_kinetic_bismut,
-        {"n_paths": 20000, "n_steps": 256}, bounds={"n_paths": (">=", 2)}),
-    "gradient_scaling": ScenarioInfo(
-        "fitted gap-exponents of the semigroup gradient sup-norms in both "
-        "direction classes",
-        "gradient-x-exponent", _run_gradient_scaling,
-        {"budget": 240000}),
-    "gramian_sweep": ScenarioInfo(
-        "dyadic sweep of the inverse-Gramian cubic scaling",
-        "gramian-cubic-scaling", _run_gramian_sweep),
-    "picard_lambda_sweep": ScenarioInfo(
-        "fixed-point solves along a doubling discount sweep with norm decay "
-        "and contraction factors",
-        "field-norm-sqrt-decay", _run_picard_lambda_sweep,
-        {"base_points": 192}),
-    "galerkin_wave": ScenarioInfo(
-        "truncation-gap decay of the fixed-point field for the wave system",
-        "galerkin-gap-decay", _run_galerkin_wave,
-        {"n_reference": 12, "amplitude": 1.0, "lam": 64.0}, model_kind="wave",
-        model_keys={"kind": str, "theta": float, "d_space": int, "delta": float},
-        # a level needs as many modes, and a zero drift has an all-zero field
-        bounds={"n_reference": (">=", _GALERKIN_LEVELS[-1]), "lam": (">", 0),
-                "amplitude": ("!=", 0)}),
-    "uniqueness_rough": ScenarioInfo(
-        "common-noise gap tables for the rough drift across perturbations "
-        "and step counts",
-        "uniqueness-common-noise", _run_uniqueness_rough,
-        {"t_final": 1.0, "steps": [256, 512, 1024],
-         "perturbations": [1e-2, 1e-3, 1e-4, 0.0]},
-        bounds={"t_final": (">", 0), "perturbations": (">=", 0)}),
-    "representation_residual": ScenarioInfo(
-        "residual decay of the field representation identity under step "
-        "refinement (constant and rough drifts)",
-        "representation-identity", _run_representation_residual,
-        {"lam": 64.0, "n_paths": 8, "rough_gridpoints": 1025,
-         "rough_timenodes": 129},
-        bounds={"lam": (">", 0), "rough_gridpoints": (">=", 2),
-                "rough_timenodes": (">=", 2)}),
-    "bihari_envelope": ScenarioInfo(
-        "pathwise nonlinear-Gronwall envelope check for the dissipative drift",
-        "bihari-envelope", _run_bihari_envelope,
-        {"t_final": 2.0, "n_paths": 1000, "n_steps": 512},
-        bounds={"t_final": (">", 0)}),
-}
-
-
 def run_scenario(cfg: ScenarioConfig, outdir: Path) -> List[str]:
-    """Run the config's scenario; its artifacts' writers create ``outdir``,
-    so a run that fails before its first artifact leaves none."""
-    return SCENARIOS[cfg.scenario].runner(cfg, outdir)
+    """Run the config's scenario by its runner ``_run_<scenario>``; its
+    artifacts' writers create ``outdir``, so a run that fails before its first
+    artifact leaves none."""
+    return globals()[f"_run_{cfg.scenario}"](cfg, outdir)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CoverageError, IterationError, NonOsgoodWarning
-from .linear_flow import _draw_steps, _step_law
+from .linear_flow import _step_kernels, _step_law
 from .model import DriftSpec, SpectralModel, _expm
 from .regularization import FieldGrid
 from .streams import substream
@@ -112,8 +112,14 @@ def make_noise(model: SpectralModel, T: float, n_steps: int, n_paths: int,
     views), so one step's slice across paths is contiguous.  Raises
     ValueError unless n_steps >= 1, n_paths >= 1 and T > 0.
     """
+    if n_paths < 1 or n_steps < 1:
+        raise ValueError("n_paths and n_steps must be >= 1")
+    if T <= 0:
+        raise ValueError("T must be positive")
     rng = substream(seed, *stream)
-    dW, eta = _draw_steps(model, 0.0, T, n_paths, n_steps, rng)
+    draws = [ker.draw(rng, n_paths, n) for ker, n in _step_kernels(model, 0.0, T, n_steps)]
+    # a single run is used as drawn: joining would copy the whole record
+    dW, eta = draws[0] if len(draws) == 1 else (np.concatenate(a) for a in zip(*draws))
     return NoiseRecord(times=np.linspace(0.0, T, n_steps + 1),
                        dW=dW.transpose(1, 0, 2), eta=eta.transpose(1, 0, 2))
 

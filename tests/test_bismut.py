@@ -56,6 +56,26 @@ def test_singular_gramian_raises():
         gramian_Q(model, 1.0)
 
 
+def _stiff(a):
+    """A0 = [[-a, 3], [0, -a/3]], B = sigma = I: e^{-tA0} overflows near a = 710."""
+    return SpectralModel(m=2, d=2, A1=np.zeros((2, 2)), A2=np.zeros((2, 2)), B=np.eye(2),
+                         A0=[[-a, 3.0], [0.0, -a / 3.0]], sigma=np.eye(2))
+
+
+def test_stiff_gramian_overflow_is_a_toolkit_error():
+    # at a = 710 the chain overflows in blocks the Gramian does not read
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Q = gramian_Q(_stiff(710.0), 1.0).Q
+        perturbation_controls(_stiff(710.0), 0.0, 1.0, [1.0, 0.0, 0.0, 1.0])
+    np.testing.assert_allclose(Q, gramian_Q(_stiff(709.0), 1.0).Q, rtol=5e-3)
+    for a in (720.0, 750.0):
+        with pytest.raises(SingularGramianError, match="t=1.0"):
+            gramian_Q(_stiff(a), 1.0)
+        with pytest.raises(SingularGramianError, match="t=1.0"):
+            perturbation_controls(_stiff(a), 0.0, 1.0, [1.0, 0.0, 0.0, 1.0])
+
+
 def _non_normal():
     """m = d = 2 with a non-normal A0 (a Jordan-like shear) and a full B."""
     return SpectralModel(m=2, d=2, A1=[[0.1, 0.0], [0.2, -0.3]],

@@ -2,12 +2,12 @@
 
 import csv
 import io
+import json
 import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,10 +15,9 @@ import yaml
 
 import degenflow
 from degenflow.cli import main
-from degenflow.config import load_config, validate_config
+from degenflow.config import ANCHORS, SCENARIOS, load_config, validate_config
 from degenflow import scenarios
 from degenflow.errors import AccuracyWarning, ConfigError, CoverageError
-from degenflow.scenarios import ANCHORS, SCENARIOS
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -108,7 +107,10 @@ def test_knob_value_of_wrong_type_rejected(tmp_path, scenario, key, value):
     ({"experiment": {"scenario": "galerkin_wave", "seed": 1, "amplitude": 0.0}},
      "experiment.amplitude")] + [
     ({"output": output, "experiment": {"scenario": "gramian_sweep", "seed": 1}}, field)
-    for output, field in BAD_OUTPUT])
+    for output, field in BAD_OUTPUT] + [
+    # a scenario that is not a string is not looked up in the catalog
+    ({"experiment": {"scenario": scenario, "seed": 1}}, "experiment.scenario")
+    for scenario in ([1], {"a": 1})])
 def test_run_out_of_range_exits_2_without_traceback(tmp_path, raw, field):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump(raw))
@@ -295,8 +297,7 @@ def test_run_toolkit_error_exits_4_with_one_line(tmp_path, monkeypatch):
     def leaves_box(cfg, outdir):
         raise CoverageError("trajectory exits the field box at t=0.5")
 
-    monkeypatch.setitem(scenarios.SCENARIOS, "gramian_sweep",
-                        replace(SCENARIOS["gramian_sweep"], runner=leaves_box))
+    monkeypatch.setattr(scenarios, "_run_gramian_sweep", leaves_box)
     code, out, err = _run_cli("run", str(CONFIG_DIR / "gramian_sweep.yaml"),
                               "--outdir", str(tmp_path))
     assert code == 4
@@ -409,14 +410,41 @@ def test_scenario_box_widens_for_paths_that_leave_it(tmp_path):
 def test_import_leaves_scipy_integrate_unloaded():
     src = str(Path(degenflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, degenflow\n"
+    code = ("import sys\n"
+            "import degenflow.model, degenflow.linear_flow, degenflow.bismut\n"
+            "import degenflow.regularization, degenflow.sde, degenflow.persist\n"
+            "import degenflow.scenarios, degenflow.cli\n"
             "sys.exit(any(m in sys.modules for m in "
             "('scipy.integrate', 'scipy.special', 'scipy.sparse')))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
     # the coupling check's terminal gap is closed-form, not quadrature
-    code = ("import sys, degenflow as dg\n"
-            "model, _ = dg.build_example('kinetic', d=1)\n"
-            "dg.verify_coupling(model, 0.0, 1.0, [0.0, 1.0], 0.5, n_paths=100, n_steps=16,"
+    code = ("import sys\n"
+            "from degenflow.bismut import verify_coupling\n"
+            "from degenflow.model import build_example\n"
+            "model, _ = build_example('kinetic', d=1)\n"
+            "verify_coupling(model, 0.0, 1.0, [0.0, 1.0], 0.5, n_paths=100, n_steps=16,"
             " seed=0)\n"
             "sys.exit('scipy.integrate' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_validate_and_list_scenarios_start_without_numerical_modules():
+    # the catalog and the gate live in config, so only run loads the layers
+    src = str(Path(degenflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    commands = [["validate", str(path)] for path in sorted(CONFIG_DIR.glob("*.yaml"))]
+    commands += [["list-scenarios"], ["list-scenarios", "--machine"]]
+    code = ("import contextlib, io, json, sys\n"
+            "from degenflow.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {commands!r}]\n"
+            "print(json.dumps([codes, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout)
+    assert codes.count(0) == len(commands) - 1  # missing_seed.yaml exits 2
+    loaded = [m for m in modules if m.split(".")[0] in ("numpy", "scipy")
+              or m.startswith("degenflow.")]
+    assert loaded == ["degenflow.cli", "degenflow.config", "degenflow.errors"]

@@ -124,6 +124,21 @@ def test_wave_eigenvalues_closed_form():
     np.testing.assert_allclose(model.eigenvalues, expected, rtol=1e-14)
 
 
+def test_wave_eigenvalues_in_many_dimensions():
+    # d_space = 15: the least sum is 15, then one index at 2 in 15 ways
+    model, _ = build_example("wave", theta=8.0, d_space=15, n=12)
+    expected = (np.array([15.0] + [18.0] * 11) * math.pi ** 2) ** 8.0
+    np.testing.assert_array_equal(model.eigenvalues, expected)
+    # d_space = 2, 3: the same bits as the n least entries of the index mesh
+    for d_space, theta, n in ((2, 1.5, 12), (2, 2.0, 40), (3, 2.0, 12), (3, 2.5, 30)):
+        side = int(math.ceil((2 * n) ** (1.0 / d_space))) + 2
+        grids = np.meshgrid(*([np.arange(1, side + 1)] * d_space), indexing="ij")
+        mesh = sum(g.astype(float) ** 2 for g in grids) * math.pi ** 2
+        model, _ = build_example("wave", theta=theta, d_space=d_space, n=n)
+        np.testing.assert_array_equal(model.eigenvalues,
+                                      np.sort(mesh.ravel())[:n] ** theta)
+
+
 def test_wave_theta_too_small_raises_h3():
     with pytest.raises(HypothesisViolationError) as err:
         build_example("wave", theta=0.4, d_space=1, n=4)

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from degenflow.config import ScenarioConfig, validate_config
-from degenflow.scenarios import ANCHORS, SCENARIOS, run_scenario
+from degenflow.config import ANCHORS, SCENARIOS, ScenarioConfig, validate_config
+from degenflow.scenarios import run_scenario
 
 LIGHT_KNOBS = {
     "kinetic_bismut": {"n_paths": 4000, "n_steps": 64},
